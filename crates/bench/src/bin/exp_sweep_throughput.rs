@@ -307,8 +307,9 @@ fn main() {
         .unwrap_or(0);
 
     // Probe latency: a fresh cache (index populated by the open walk,
-    // memory tier empty) answers presence probes from the index; the legacy
-    // path stats candidate files. Same keys for both.
+    // memory tier empty) answers presence probes from the index; the
+    // pre-index `probe_disk_stat` path stats candidate files. Same keys for
+    // both.
     let mut probe_cache: ResultCache<f64> =
         ResultCache::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
             .expect("artifact dir reopens for probing");

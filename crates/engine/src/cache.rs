@@ -17,9 +17,7 @@
 //!   reads; the sweep runner copies the deltas into its `RunReport`.
 //! * **Flat-directory scaling.** Artifacts live in `xx/yy/<hash>.<ext>`
 //!   fan-out subdirectories (first four hex digits of the key), so no single
-//!   directory holds millions of entries. Legacy flat `<hash>.json`
-//!   artifacts from earlier releases are still found by the opening walk and
-//!   read transparently.
+//!   directory holds millions of entries.
 //! * **JSON serde per hit.** The default artifact format is the compact
 //!   checksummed binary codec in [`crate::binary`] (version byte +
 //!   content-hash header + CRC32). JSON remains available for debugging via
@@ -104,8 +102,6 @@ enum ArtifactLoc {
     Binary,
     /// Sharded `xx/yy/<hash>.json`.
     Json,
-    /// Flat `<hash>.json` written by pre-sharding releases.
-    LegacyJson,
 }
 
 /// Index-probe and disk-read counters (see [`ResultCache::probe_stats`]).
@@ -148,13 +144,6 @@ pub struct ResultCache<R> {
     /// Shard subdirectories (`xx * 256 + yy`) known to exist, so repeat puts
     /// into a warm shard skip the `create_dir_all` syscalls.
     shards_ready: HashSet<u16>,
-    /// Whether the opening walk found any legacy flat `<hex>.json`
-    /// artifacts. Directories still fed by a legacy writer can grow flat
-    /// artifacts *after* the walk, so [`ResultCache::get`] gives index
-    /// misses a last-chance probe at the legacy path — but only when this
-    /// flag is set, so modern directories keep answering misses without
-    /// filesystem traffic.
-    has_legacy: bool,
     probes: ProbeStats,
     /// Stale `*.tmp.<pid>` files of provably-dead processes reclaimed by the
     /// opening walk.
@@ -170,7 +159,6 @@ impl<R> Default for ResultCache<R> {
             format: ArtifactFormat::default(),
             index: HashMap::new(),
             shards_ready: HashSet::new(),
-            has_legacy: false,
             probes: ProbeStats::default(),
             reclaimed_tmp: 0,
             chaos: chaos::env_failpoints(),
@@ -191,7 +179,7 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
     /// first [`ResultCache::put`], so a fully memory-served sweep leaves no
     /// trace on disk and a read-only directory still serves reads. If the
     /// directory exists, one walk indexes every artifact in it (sharded
-    /// binary/JSON plus legacy flat JSON).
+    /// binary and JSON).
     pub fn with_artifact_dir(dir: impl Into<PathBuf>) -> Result<Self, EngineError> {
         Self::with_artifact_dir_and_format(dir, ArtifactFormat::from_env())
     }
@@ -208,16 +196,12 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
     ) -> Result<Self, EngineError> {
         let dir = dir.into();
         let (index, reclaimed_tmp) = build_index(&dir)?;
-        let has_legacy = index
-            .values()
-            .any(|loc| matches!(loc, ArtifactLoc::LegacyJson));
         Ok(ResultCache {
             mem: HashMap::new(),
             dir: Some(dir),
             format,
             index,
             shards_ready: HashSet::new(),
-            has_legacy,
             probes: ProbeStats::default(),
             reclaimed_tmp,
             chaos: chaos::env_failpoints(),
@@ -277,8 +261,8 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         self.index.contains_key(&key)
     }
 
-    /// The legacy probe: check artifact presence by `stat`ing every path the
-    /// key could live at (binary, sharded JSON, flat JSON). This is what a
+    /// The pre-index probe: check artifact presence by `stat`ing every path
+    /// the key could live at (binary, then JSON). This is what a
     /// per-scenario hit check cost before the index existed; it is kept so
     /// the `exp_sweep_throughput` baseline can measure the index's speedup
     /// against it. Not used on any hot path.
@@ -286,21 +270,14 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         let Some(dir) = &self.dir else {
             return false;
         };
-        sharded_path(dir, key, "bin").exists()
-            || sharded_path(dir, key, "json").exists()
-            || legacy_path(dir, key).exists()
+        sharded_path(dir, key, "bin").exists() || sharded_path(dir, key, "json").exists()
     }
 
     /// Look up a result, promoting artifact hits into memory.
     ///
     /// Misses are answered by the in-memory index without a filesystem
-    /// probe — except in a directory whose opening walk found legacy flat
-    /// `<hex>.json` artifacts, where a writer predating the sharded layout
-    /// may still be adding flat artifacts the index never saw; there an
-    /// index miss pays one last-chance probe at the legacy path (counted in
-    /// [`ProbeStats::disk_reads`] like every other artifact read, and
-    /// promoted into the index on a hit). A corrupt or mismatched artifact
-    /// is reported as an error (the caller decides whether to recompute).
+    /// probe. A corrupt or mismatched artifact is reported as an error (the
+    /// caller decides whether to recompute).
     pub fn get(&mut self, key: ContentHash) -> Result<Option<(R, CacheTier)>, EngineError> {
         if let Some(r) = self.mem.get(&key) {
             return Ok(Some((r.clone(), CacheTier::Memory)));
@@ -309,10 +286,8 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
             return Ok(None);
         };
         self.probes.index_probes += 1;
-        let loc = match self.index.get(&key) {
-            Some(&loc) => loc,
-            None if self.has_legacy => ArtifactLoc::LegacyJson,
-            None => return Ok(None),
+        let Some(&loc) = self.index.get(&key) else {
+            return Ok(None);
         };
         let path = loc_path(dir, key, loc);
         if let Some(action) = self.chaos.fire(sites::ARTIFACT_READ) {
@@ -347,9 +322,6 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         })?;
         let result = R::from_value(result_value)
             .map_err(|e| EngineError::Serialize(format!("decoding {}: {e}", path.display())))?;
-        // No-op for indexed hits; registers a legacy artifact found by the
-        // last-chance probe so the next probe is index-answered.
-        self.index.insert(key, loc);
         self.mem.insert(key, result.clone());
         Ok(Some((result, CacheTier::Artifact)))
     }
@@ -470,15 +442,10 @@ fn sharded_path(dir: &Path, key: ContentHash, ext: &str) -> PathBuf {
     shard_dir(dir, key).join(format!("{}.{ext}", key.to_hex()))
 }
 
-fn legacy_path(dir: &Path, key: ContentHash) -> PathBuf {
-    dir.join(format!("{}.json", key.to_hex()))
-}
-
 fn loc_path(dir: &Path, key: ContentHash, loc: ArtifactLoc) -> PathBuf {
     match loc {
         ArtifactLoc::Binary => sharded_path(dir, key, "bin"),
         ArtifactLoc::Json => sharded_path(dir, key, "json"),
-        ArtifactLoc::LegacyJson => legacy_path(dir, key),
     }
 }
 
@@ -493,7 +460,7 @@ fn decode_artifact_value(
         ArtifactLoc::Binary => binary::decode_artifact(bytes, key.0).map_err(|e| {
             EngineError::Serialize(format!("decoding binary artifact {}: {e}", path.display()))
         }),
-        ArtifactLoc::Json | ArtifactLoc::LegacyJson => {
+        ArtifactLoc::Json => {
             let text = std::str::from_utf8(bytes).map_err(|e| {
                 EngineError::Serialize(format!("artifact {} is not UTF-8: {e}", path.display()))
             })?;
@@ -504,7 +471,7 @@ fn decode_artifact_value(
 }
 
 /// Walk an artifact directory once, indexing every sharded binary/JSON
-/// artifact plus legacy flat JSON artifacts, and reclaiming stale
+/// artifact and reclaiming stale
 /// `*.tmp.<pid>` files of dead processes along the way. A missing directory
 /// is an empty index (creation is deferred to the first put). Returns the
 /// index and the number of temp files reclaimed.
@@ -522,10 +489,7 @@ fn build_index(dir: &Path) -> Result<(HashMap<ContentHash, ArtifactLoc>, usize),
         let name = name.to_string_lossy();
         let file_type = entry.file_type()?;
         if file_type.is_file() {
-            // Legacy flat artifact: `<32 hex>.json`.
-            if let Some(key) = parse_artifact_name(&name, "json") {
-                index.entry(key).or_insert(ArtifactLoc::LegacyJson);
-            } else if reclaim_stale_tmp(&name, &entry.path()) {
+            if reclaim_stale_tmp(&name, &entry.path()) {
                 reclaimed += 1;
             }
         } else if file_type.is_dir() && is_hex_pair(&name) {
@@ -662,83 +626,6 @@ mod tests {
             .join(format!("{hex}.bin"));
         assert!(expected.exists(), "expected {}", expected.display());
         assert_eq!(c.artifact_path_for(s.content_hash()), Some(expected));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_flat_json_artifacts_are_still_readable() {
-        let dir = temp_dir("legacy");
-        let s = spec(4);
-        // Write a legacy flat artifact by hand, exactly as the pre-sharding
-        // cache laid it out.
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = Value::Map(vec![
-            (
-                "spec_hash".to_string(),
-                Value::Str(s.content_hash().to_hex()),
-            ),
-            ("spec".to_string(), s.to_value()),
-            ("result".to_string(), Value::Float(7.25)),
-        ]);
-        std::fs::write(
-            dir.join(format!("{}.json", s.content_hash().to_hex())),
-            serde_json::to_string_pretty(&artifact).unwrap(),
-        )
-        .unwrap();
-
-        let mut c: ResultCache<f64> = ResultCache::with_artifact_dir(&dir).unwrap();
-        let (v, tier) = c.get(s.content_hash()).unwrap().unwrap();
-        assert_eq!(v, 7.25);
-        assert_eq!(tier, CacheTier::Artifact);
-        // The legacy read must be accounted like any other artifact read.
-        assert_eq!(c.probe_stats().disk_reads, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn write_legacy_artifact(dir: &Path, s: &ScenarioSpec, result: f64) {
-        std::fs::create_dir_all(dir).unwrap();
-        let artifact = Value::Map(vec![
-            (
-                "spec_hash".to_string(),
-                Value::Str(s.content_hash().to_hex()),
-            ),
-            ("spec".to_string(), s.to_value()),
-            ("result".to_string(), Value::Float(result)),
-        ]);
-        std::fs::write(
-            dir.join(format!("{}.json", s.content_hash().to_hex())),
-            serde_json::to_string_pretty(&artifact).unwrap(),
-        )
-        .unwrap();
-    }
-
-    #[test]
-    fn legacy_artifacts_appearing_after_open_are_found_and_counted() {
-        let dir = temp_dir("legacy-late");
-        let early = spec(21);
-        let late = spec(22);
-        // One legacy artifact exists at open, marking the directory as
-        // legacy-fed; a second lands after the opening index walk.
-        write_legacy_artifact(&dir, &early, 1.5);
-        let mut c: ResultCache<f64> = ResultCache::with_artifact_dir(&dir).unwrap();
-        write_legacy_artifact(&dir, &late, 2.5);
-
-        // The late artifact is invisible to the index, but the last-chance
-        // legacy probe finds it — and the read is counted.
-        let (v, tier) = c.get(late.content_hash()).unwrap().unwrap();
-        assert_eq!(v, 2.5);
-        assert_eq!(tier, CacheTier::Artifact);
-        assert_eq!(c.probe_stats().disk_reads, 1);
-
-        // The hit was promoted into the index and memory tier.
-        assert!(c.contains(late.content_hash()));
-        c.clear_memory();
-        assert!(c.get(late.content_hash()).unwrap().is_some());
-
-        // A genuinely-absent key pays one probing read and stays a miss.
-        let reads_before = c.probe_stats().disk_reads;
-        assert!(c.get(spec(23).content_hash()).unwrap().is_none());
-        assert_eq!(c.probe_stats().disk_reads, reads_before + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,16 +1,27 @@
 //! The sweep runner: a bounded work-stealing worker pool that executes
-//! scenarios deterministically, isolates per-scenario panics, consults the
-//! content-addressed cache, and preserves submission order in its results.
+//! scenarios deterministically, isolates per-scenario panics, and consults
+//! the content-addressed cache.
 //!
-//! Two entry points share the machinery:
+//! # One driver, three sinks
 //!
-//! * [`SweepRunner::run`] — materializes one result slot per submitted spec
-//!   (submission order preserved). Right for sweeps whose results are then
-//!   tabulated individually.
-//! * [`SweepRunner::run_fold`] — streams results into an order-insensitive
-//!   monoid fold as workers finish, never materializing `Vec<R>`. Right for
-//!   population-scale sweeps (10⁵–10⁷ scenarios) whose output is an
-//!   aggregate: totals, histograms, argmins.
+//! Every entry point runs one private driver. It hashes each spec once,
+//! collapses duplicates into one scenario with a multiplicity, skips what a
+//! run journal covers, and probes the cache (a corrupt artifact is counted,
+//! logged and recomputed). Misses run on one scoped worker pool with panic
+//! isolation, retries and an optional deadline; successes are cached as they
+//! complete. The driver owns the [`RunReport`] counters.
+//!
+//! Each cache hit and executed result goes, with its spec index, hash and
+//! multiplicity, to a sink that only absorbs it:
+//!
+//! * **indexed** ([`SweepRunner::run`]): one result slot per submitted spec,
+//!   in submission order, plus per-scenario records.
+//! * **per-worker fold** ([`SweepRunner::run_fold`]): one accumulator per
+//!   worker, merged at the end; no lock, and `Vec<R>` is never built.
+//! * **journaled** ([`SweepRunner::run_fold_journaled`],
+//!   [`SweepRunner::resume`]): journal append and fold under one lock, with
+//!   checkpoints. The `engine.sweep.crash` failpoint and the
+//!   journal-unwritable stop live only here.
 
 use crate::cache::{ArtifactFormat, CacheTier, ResultCache};
 use crate::chaos::{self, sites, FailpointSet};
@@ -23,6 +34,8 @@ use crate::spec::ScenarioSpec;
 use hpcgrid_timeseries::par::{default_threads, panic_message};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::marker::PhantomData;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -99,15 +112,7 @@ impl<R> SweepOutcome<R> {
 
     /// Unwrap every result, panicking with a summary if any scenario failed.
     pub fn expect_all(self, context: &str) -> Vec<R> {
-        let n_failed = self.errors().count();
-        if n_failed > 0 {
-            let mut lines: Vec<String> = self.errors().map(ScenarioError::to_string).collect();
-            lines.truncate(5);
-            panic!(
-                "{context}: {n_failed} scenario(s) failed:\n  {}",
-                lines.join("\n  ")
-            );
-        }
+        panic_if_any_failed(context, self.errors());
         self.results
             .into_iter()
             .map(|r| r.expect("checked above"))
@@ -134,16 +139,20 @@ impl<A> FoldOutcome<A> {
     /// Unwrap the aggregate, panicking with a summary if any scenario
     /// failed.
     pub fn expect_all(self, context: &str) -> A {
-        if !self.errors.is_empty() {
-            let mut lines: Vec<String> = self.errors.iter().map(ScenarioError::to_string).collect();
-            lines.truncate(5);
-            panic!(
-                "{context}: {} scenario(s) failed:\n  {}",
-                self.errors.len(),
-                lines.join("\n  ")
-            );
-        }
+        panic_if_any_failed(context, self.errors.iter());
         self.value
+    }
+}
+
+/// Panic with the count and the first five of `errors`, if there are any.
+fn panic_if_any_failed<'a>(context: &str, errors: impl Iterator<Item = &'a ScenarioError>) {
+    let lines: Vec<String> = errors.map(ScenarioError::to_string).collect();
+    if !lines.is_empty() {
+        panic!(
+            "{context}: {} scenario(s) failed:\n  {}",
+            lines.len(),
+            lines[..lines.len().min(5)].join("\n  ")
+        );
     }
 }
 
@@ -187,23 +196,13 @@ impl<R: Clone + Send + Serialize + Deserialize> Default for SweepRunner<R> {
 impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
     /// Runner with an in-memory cache and default configuration.
     pub fn new() -> Self {
-        SweepRunner {
-            cache: ResultCache::in_memory(),
-            config: SweepConfig::default(),
-            shared: Arc::new(SharedInputs::new()),
-            chaos: chaos::env_failpoints(),
-        }
+        Self::with_cache(ResultCache::in_memory())
     }
 
     /// Runner whose cache persists artifacts under `dir` (binary by
     /// default; `HPCGRID_SWEEP_ARTIFACT_FORMAT=json` keeps JSON).
     pub fn with_artifact_dir(dir: impl Into<std::path::PathBuf>) -> Result<Self, EngineError> {
-        Ok(SweepRunner {
-            cache: ResultCache::with_artifact_dir(dir)?,
-            config: SweepConfig::default(),
-            shared: Arc::new(SharedInputs::new()),
-            chaos: chaos::env_failpoints(),
-        })
+        ResultCache::with_artifact_dir(dir).map(Self::with_cache)
     }
 
     /// Runner whose cache persists artifacts under `dir` in an explicit
@@ -212,12 +211,16 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         dir: impl Into<std::path::PathBuf>,
         format: ArtifactFormat,
     ) -> Result<Self, EngineError> {
-        Ok(SweepRunner {
-            cache: ResultCache::with_artifact_dir_and_format(dir, format)?,
+        ResultCache::with_artifact_dir_and_format(dir, format).map(Self::with_cache)
+    }
+
+    fn with_cache(cache: ResultCache<R>) -> Self {
+        SweepRunner {
+            cache,
             config: SweepConfig::default(),
             shared: Arc::new(SharedInputs::new()),
             chaos: chaos::env_failpoints(),
-        })
+        }
     }
 
     /// Replace the configuration.
@@ -282,217 +285,49 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
     /// Run a sweep: execute `f` for every spec not already cached, in
     /// parallel, panics isolated per scenario; return results in submission
     /// order plus the run report.
+    ///
+    /// A duplicate spec executes once; its later occurrences share that
+    /// result and are recorded as memory hits, or as failed if it failed.
     pub fn run<F>(&mut self, specs: &[ScenarioSpec], f: F) -> SweepOutcome<R>
     where
         F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
     {
-        let t0 = Instant::now();
-        let probes0 = self.cache.probe_stats();
-        let mut report = RunReport {
-            total: specs.len(),
-            ..RunReport::default()
-        };
-
-        // Phase 1 — cache consultation (sequential; lookups are cheap
-        // relative to scenario execution). Duplicate specs within one
-        // submission execute once; later occurrences alias the first slot.
-        let hashes: Vec<_> = specs.iter().map(ScenarioSpec::content_hash).collect();
-        let mut slots: Vec<Option<Result<R, ScenarioError>>> = Vec::with_capacity(specs.len());
-        let mut dispositions: Vec<Disposition> = Vec::with_capacity(specs.len());
-        // Indices (into `specs`) that must execute, and hash → executing slot.
-        let mut to_run: Vec<usize> = Vec::new();
-        let mut pending: HashMap<crate::hash::ContentHash, usize> = HashMap::new();
-        for (i, &key) in hashes.iter().enumerate() {
-            if pending.contains_key(&key) {
-                // Alias of an earlier miss in this same sweep.
-                slots.push(None);
-                dispositions.push(Disposition::MemoryHit);
-                report.memory_hits += 1;
-                continue;
-            }
-            match self.cache.get(key) {
-                Ok(Some((value, tier))) => {
-                    slots.push(Some(Ok(value)));
-                    let d = match tier {
-                        CacheTier::Memory => {
-                            report.memory_hits += 1;
-                            Disposition::MemoryHit
-                        }
-                        CacheTier::Artifact => {
-                            report.artifact_hits += 1;
-                            Disposition::ArtifactHit
-                        }
-                    };
-                    dispositions.push(d);
-                }
-                Ok(None) => {
-                    slots.push(None);
-                    dispositions.push(Disposition::Executed);
-                    pending.insert(key, i);
-                    to_run.push(i);
-                }
-                Err(err) => {
-                    // Corrupt artifact: recompute rather than fail the sweep,
-                    // but count it and log the path so a damaged artifact
-                    // directory does not degrade silently.
-                    report.cache_corrupt += 1;
-                    let path = self
-                        .cache
-                        .artifact_path_for(key)
-                        .map(|p| p.display().to_string())
-                        .unwrap_or_else(|| "<no artifact dir>".to_string());
-                    eprintln!(
-                        "hpcgrid-engine: corrupt cache artifact for scenario `{}` at {path}: {err}; recomputing",
-                        specs[i].label()
-                    );
-                    slots.push(None);
-                    dispositions.push(Disposition::Executed);
-                    pending.insert(key, i);
-                    to_run.push(i);
-                }
-            }
+        let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
+        let (mut report, kept) =
+            self.sweep(specs, &hashes, &HashSet::new(), &f, &Indexed, Vec::new);
+        // Each unique scenario resolved at its first occurrence; a later
+        // occurrence aliases that result as a memory hit.
+        let mut slots: Vec<Option<Resolved<R>>> = specs.iter().map(|_| None).collect();
+        for r in kept.into_iter().flatten() {
+            let i = r.index;
+            slots[i] = Some(r);
         }
-
-        // Phase 2 — execute the misses on a bounded work-stealing pool.
-        let workers = self
-            .config
-            .threads
-            .unwrap_or_else(|| default_threads(to_run.len()))
-            .max(1)
-            .min(to_run.len().max(1));
-        report.workers = if to_run.is_empty() { 0 } else { workers };
-        let retry = self.config.retry;
-        let deadline = self.config.deadline;
-        let shared = Arc::clone(&self.shared);
-        let chaos = Arc::clone(&self.chaos);
-        let next = AtomicUsize::new(0);
-        type Done<R> = (usize, Result<R, ScenarioError>, Duration, u32);
-        let done: Mutex<Vec<Done<R>>> = Mutex::new(Vec::with_capacity(to_run.len()));
-        let busy: Mutex<Vec<Duration>> = Mutex::new(Vec::with_capacity(workers));
-        if !to_run.is_empty() {
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let f = &f;
-                    let specs = &specs;
-                    let hashes = &hashes;
-                    let to_run = &to_run;
-                    let next = &next;
-                    let done = &done;
-                    let busy = &busy;
-                    let shared = &shared;
-                    let chaos = &chaos;
-                    s.spawn(move || {
-                        let mut local: Vec<Done<R>> = Vec::new();
-                        let mut my_busy = Duration::ZERO;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= to_run.len() {
-                                break;
-                            }
-                            let slot = to_run[k];
-                            let spec = &specs[slot];
-                            let ctx = ScenarioCtx {
-                                spec,
-                                seed: spec.derived_seed(),
-                                shared,
-                            };
-                            let started = Instant::now();
-                            let (result, attempts) = execute_with_retries(
-                                s,
-                                f,
-                                ctx,
-                                hashes[slot],
-                                retry,
-                                chaos,
-                                deadline,
-                            );
-                            let wall = started.elapsed();
-                            my_busy += wall;
-                            local.push((slot, result, wall, attempts));
-                        }
-                        done.lock().expect("result mutex poisoned").extend(local);
-                        busy.lock().expect("busy mutex poisoned").push(my_busy);
-                    });
-                }
-            });
-        }
-        report.worker_busy = busy.into_inner().expect("busy mutex poisoned");
-
-        // Phase 3 — commit results: fill slots, populate the cache, resolve
-        // duplicate aliases, build records.
-        let mut exec_info: HashMap<usize, (Duration, u32)> = HashMap::new();
-        let mut computed = done.into_inner().expect("result mutex poisoned");
-        computed.sort_by_key(|(slot, ..)| *slot);
-        for (slot, result, wall, attempts) in computed {
-            report.executed += 1;
-            report.retries += attempts.saturating_sub(1);
-            match &result {
-                Ok(value) => {
-                    // Cache commit failures (disk full, permissions) don't
-                    // fail the scenario — the computed value is still
-                    // returned.
-                    let _ = self.cache.put(&specs[slot], value);
-                }
-                Err(e) => {
-                    report.failed += 1;
-                    if e.is_timeout() {
-                        report.timed_out += 1;
-                    }
-                }
-            }
-            exec_info.insert(slot, (wall, attempts));
-            slots[slot] = Some(result);
-        }
-
-        // Resolve duplicate aliases from the slot that executed (or was
-        // cached) for the same hash.
-        let mut by_hash: HashMap<crate::hash::ContentHash, usize> = HashMap::new();
-        for i in 0..specs.len() {
-            if slots[i].is_some() {
-                by_hash.entry(hashes[i]).or_insert(i);
-            }
-        }
-        for i in 0..specs.len() {
-            if slots[i].is_none() {
-                let src = by_hash
-                    .get(&hashes[i])
-                    .copied()
-                    .expect("every alias has an executed source slot");
-                let aliased = slots[src]
-                    .as_ref()
-                    .expect("source slot resolved in phase 3")
-                    .clone();
-                slots[i] = Some(aliased);
-            }
-        }
-
-        for (i, spec) in specs.iter().enumerate() {
-            let (wall, attempts) = exec_info.get(&i).copied().unwrap_or((Duration::ZERO, 0));
-            let failed = matches!(slots[i], Some(Err(_)));
+        let mut first = HashMap::with_capacity(specs.len());
+        let mut results: Vec<Result<R, ScenarioError>> = Vec::with_capacity(specs.len());
+        for (i, (spec, slot)) in specs.iter().zip(slots).enumerate() {
+            let src = *first.entry(hashes[i]).or_insert(i);
+            let ((disposition, wall, attempts), result) = match slot {
+                Some(r) => (r.how, r.result),
+                None => (
+                    (Disposition::MemoryHit, Duration::ZERO, 0),
+                    results[src].clone(),
+                ),
+            };
             report.scenarios.push(ScenarioRecord {
                 spec: hashes[i],
                 label: spec.label(),
-                disposition: if failed && exec_info.contains_key(&i) {
+                // Every occurrence of a failed scenario failed, aliases too.
+                disposition: if result.is_err() {
                     Disposition::Failed
                 } else {
-                    dispositions[i]
+                    disposition
                 },
                 wall,
                 attempts,
             });
+            results.push(result);
         }
-
-        let probes1 = self.cache.probe_stats();
-        report.index_probes = probes1.index_probes - probes0.index_probes;
-        report.disk_reads = probes1.disk_reads - probes0.disk_reads;
-        report.wall = t0.elapsed();
-        SweepOutcome {
-            results: slots
-                .into_iter()
-                .map(|s| s.expect("all slots resolved"))
-                .collect(),
-            report,
-        }
+        SweepOutcome { results, report }
     }
 
     /// Run a sweep as a streaming reduction: every successful result is
@@ -544,171 +379,27 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         Fold: Fn(A, R) -> A + Sync,
         Merge: Fn(A, A) -> A,
     {
-        let t0 = Instant::now();
-        let probes0 = self.cache.probe_stats();
-        let mut report = RunReport {
-            total: specs.len(),
-            ..RunReport::default()
+        let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
+        let sink = PerWorkerFold {
+            fold: &fold,
+            acc: PhantomData,
         };
-
-        // Phase 1 — cache consultation. Hits fold immediately (streaming:
-        // nothing is retained); misses are deduplicated, remembering each
-        // unique spec's multiplicity so duplicates still fold once per
-        // occurrence.
-        let mut acc = init.clone();
-        // Unique specs to execute: (index into `specs`, occurrence count).
-        let mut to_run: Vec<(usize, usize)> = Vec::new();
-        let mut pending: HashMap<crate::hash::ContentHash, usize> = HashMap::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let key = spec.content_hash();
-            if let Some(&run_idx) = pending.get(&key) {
-                to_run[run_idx].1 += 1;
-                report.memory_hits += 1;
-                continue;
-            }
-            match self.cache.get(key) {
-                Ok(Some((value, tier))) => {
-                    match tier {
-                        CacheTier::Memory => report.memory_hits += 1,
-                        CacheTier::Artifact => report.artifact_hits += 1,
-                    }
-                    acc = fold(acc, value);
-                }
-                Ok(None) => {
-                    pending.insert(key, to_run.len());
-                    to_run.push((i, 1));
-                }
-                Err(err) => {
-                    report.cache_corrupt += 1;
-                    let path = self
-                        .cache
-                        .artifact_path_for(key)
-                        .map(|p| p.display().to_string())
-                        .unwrap_or_else(|| "<no artifact dir>".to_string());
-                    eprintln!(
-                        "hpcgrid-engine: corrupt cache artifact for scenario `{}` at {path}: {err}; recomputing",
-                        spec.label()
-                    );
-                    pending.insert(key, to_run.len());
-                    to_run.push((i, 1));
-                }
-            }
-        }
-
-        // Phase 2 — execute misses; each worker folds into its own
-        // accumulator and commits artifacts through a shared cache handle as
-        // it goes, so results are dropped the moment they are absorbed.
-        let workers = self
-            .config
-            .threads
-            .unwrap_or_else(|| default_threads(to_run.len()))
-            .max(1)
-            .min(to_run.len().max(1));
-        report.workers = if to_run.is_empty() { 0 } else { workers };
-        let retry = self.config.retry;
-        let deadline = self.config.deadline;
-        let shared = Arc::clone(&self.shared);
-        let chaos = Arc::clone(&self.chaos);
-        let next = AtomicUsize::new(0);
-        let cache = Mutex::new(&mut self.cache);
-        let errors: Mutex<Vec<ScenarioError>> = Mutex::new(Vec::new());
-        // (worker index, accumulator, executed, retries, busy) per worker.
-        type WorkerOut<A> = (usize, A, usize, u32, Duration);
-        let outputs: Mutex<Vec<WorkerOut<A>>> = Mutex::new(Vec::with_capacity(workers));
-        if !to_run.is_empty() {
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let init = init.clone();
-                    let fold = &fold;
-                    let f = &f;
-                    let cache = &cache;
-                    let errors = &errors;
-                    let outputs = &outputs;
-                    let next = &next;
-                    let to_run = &to_run;
-                    let shared = &shared;
-                    let chaos = &chaos;
-                    s.spawn(move || {
-                        let mut my_acc = init;
-                        let mut my_busy = Duration::ZERO;
-                        let mut my_executed = 0usize;
-                        let mut my_retries = 0u32;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= to_run.len() {
-                                break;
-                            }
-                            let (slot, mult) = to_run[k];
-                            let spec = &specs[slot];
-                            let ctx = ScenarioCtx {
-                                spec,
-                                seed: spec.derived_seed(),
-                                shared,
-                            };
-                            let started = Instant::now();
-                            let (result, attempts) = execute_with_retries(
-                                s,
-                                f,
-                                ctx,
-                                spec.content_hash(),
-                                retry,
-                                chaos,
-                                deadline,
-                            );
-                            my_busy += started.elapsed();
-                            my_executed += 1;
-                            my_retries += attempts.saturating_sub(1);
-                            match result {
-                                Ok(value) => {
-                                    // Artifact commit failures don't fail
-                                    // the scenario (mirrors `run`).
-                                    let _ = cache
-                                        .lock()
-                                        .expect("cache mutex poisoned")
-                                        .put(spec, &value);
-                                    for _ in 1..mult {
-                                        my_acc = fold(my_acc, value.clone());
-                                    }
-                                    my_acc = fold(my_acc, value);
-                                }
-                                Err(e) => {
-                                    errors.lock().expect("error mutex poisoned").push(e);
-                                }
-                            }
-                        }
-                        outputs.lock().expect("output mutex poisoned").push((
-                            w,
-                            my_acc,
-                            my_executed,
-                            my_retries,
-                            my_busy,
-                        ));
-                    });
-                }
-            });
-        }
-
-        // Phase 3 — merge worker accumulators (in worker order, for what
-        // little determinism that buys a commutative monoid) and finish the
-        // report. (`cache`'s borrow of `self.cache` has ended by now, so the
-        // probe-stat reads below can take their own shared borrow.)
-        let mut outputs = outputs.into_inner().expect("output mutex poisoned");
-        outputs.sort_by_key(|(w, ..)| *w);
-        for (_, worker_acc, executed, retries, busy) in outputs {
-            acc = merge(acc, worker_acc);
-            report.executed += executed;
-            report.retries += retries;
-            report.worker_busy.push(busy);
-        }
-        let errors = errors.into_inner().expect("error mutex poisoned");
-        report.failed = errors.len();
-        report.timed_out = errors.iter().filter(|e| e.is_timeout()).count();
-        let probes1 = self.cache.probe_stats();
-        report.index_probes = probes1.index_probes - probes0.index_probes;
-        report.disk_reads = probes1.disk_reads - probes0.disk_reads;
-        report.wall = t0.elapsed();
+        let (report, locals) = self.sweep(specs, &hashes, &HashSet::new(), &f, &sink, || {
+            (Some(init.clone()), Vec::new())
+        });
+        // Merge in worker order (phase 1's accumulator first), for what
+        // little determinism that buys a commutative monoid.
+        let mut errors = Vec::new();
+        let value = locals
+            .into_iter()
+            .map(|(acc, errs)| {
+                errors.extend(errs);
+                acc.expect("accumulator present")
+            })
+            .reduce(merge)
+            .expect("phase 1 always has an accumulator");
         FoldOutcome {
-            value: acc,
+            value,
             errors,
             report,
         }
@@ -753,7 +444,7 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
         Fold: Fn(A, R) -> A + Sync,
     {
-        // Hash every spec exactly once: the fingerprint and the fold's
+        // Hash every spec exactly once: the fingerprint and the driver's
         // bookkeeping share this pass (re-serializing specs dominates
         // per-spec cost at population scale).
         let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
@@ -763,7 +454,7 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
             specs.len(),
             Arc::clone(&self.chaos),
         )?;
-        self.journaled_fold_core(journal, specs, hashes, &HashSet::new(), f, fold, init)
+        Ok(self.journaled_fold(journal, specs, &hashes, &HashSet::new(), f, fold, init))
     }
 
     /// Continue an interrupted [`SweepRunner::run_fold_journaled`] from its
@@ -830,27 +521,76 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         }
         let skip = replay.done_set();
         let journal = RunJournal::open_append(path, replay.entries.len(), Arc::clone(&self.chaos))?;
-        self.journaled_fold_core(journal, specs, hashes, &skip, f, fold, acc)
+        Ok(self.journaled_fold(journal, specs, &hashes, &skip, f, fold, acc))
     }
 
-    /// Shared machinery of [`SweepRunner::run_fold_journaled`] and
-    /// [`SweepRunner::resume`]: fold everything not in `skip` into `acc0`,
-    /// journaling each completion through a single locked sink.
+    /// Shared tail of [`SweepRunner::run_fold_journaled`] and
+    /// [`SweepRunner::resume`]: drive everything not in `skip` into the
+    /// journaled sink, then close out the journal.
     #[allow(clippy::too_many_arguments)]
-    fn journaled_fold_core<A, F, Fold>(
+    fn journaled_fold<A, F, Fold>(
         &mut self,
         journal: RunJournal,
         specs: &[ScenarioSpec],
-        hashes: Vec<ContentHash>,
+        hashes: &[ContentHash],
         skip: &HashSet<ContentHash>,
         f: F,
         fold: Fold,
-        acc0: A,
-    ) -> Result<FoldOutcome<A>, EngineError>
+        acc: A,
+    ) -> FoldOutcome<A>
     where
         A: Send + Serialize + Deserialize,
         F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
         Fold: Fn(A, R) -> A + Sync,
+    {
+        let sink = Journaled {
+            state: Mutex::new(JournalState {
+                journal,
+                acc: Some(acc),
+            }),
+            fold: &fold,
+            checkpoint_every: self.config.checkpoint_every.max(1),
+            chaos: &Arc::clone(&self.chaos),
+        };
+        let (mut report, errors) = self.sweep(specs, hashes, skip, &f, &sink, Vec::new);
+        let JournalState { mut journal, acc } =
+            sink.state.into_inner().expect("sink mutex poisoned");
+        let acc = acc.expect("sink accumulator present");
+        if report.interrupted {
+            // Best-effort flush: everything journaled so far is resumable.
+            let _ = journal.flush();
+        } else if let Err(e) = journal.append_checkpoint(journal.done_count(), &acc.to_value()) {
+            // The final checkpoint covers the whole journal (resume restores
+            // in O(1) replay) and flushes the tail.
+            eprintln!("hpcgrid-engine: final journal checkpoint failed: {e}");
+            report.interrupted = true;
+        }
+        FoldOutcome {
+            value: acc,
+            errors: errors.into_iter().flatten().collect(),
+            report,
+        }
+    }
+
+    /// The one sweep driver behind every entry point: probe, execute and
+    /// report, handing each resolved unique scenario to `sink`. Scenarios
+    /// in `skip` count as journal-replayed and are never probed.
+    ///
+    /// `new_local` makes the sink's state on the calling thread, one for
+    /// phase 1's cache hits and one per worker; they come back in that order.
+    /// A sink's `Break` stops the sweep, and the report says `interrupted`.
+    fn sweep<F, S>(
+        &mut self,
+        specs: &[ScenarioSpec],
+        hashes: &[ContentHash],
+        skip: &HashSet<ContentHash>,
+        f: &F,
+        sink: &S,
+        mut new_local: impl FnMut() -> S::Local,
+    ) -> (RunReport, Vec<S::Local>)
+    where
+        F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
+        S: Sink<R>,
     {
         let t0 = Instant::now();
         let probes0 = self.cache.probe_stats();
@@ -858,50 +598,56 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
             total: specs.len(),
             ..RunReport::default()
         };
-        let checkpoint_every = self.config.checkpoint_every.max(1);
-        let mut sink = FoldSink {
-            journal,
-            acc: Some(acc0),
-        };
-        let mut interrupted = false;
+        let mut hits = new_local();
+        let mut stopped = false;
 
-        // Phase 1 — skip journaled scenarios, fold cache hits immediately
-        // (journaling them: the journal must cover every contribution to the
-        // fold), deduplicate misses with their submission multiplicities.
-        let mut counts: HashMap<ContentHash, u64> = HashMap::new();
-        for &h in &hashes {
+        // Phase 1 — probe. Duplicates collapse into one unique scenario with
+        // its multiplicity; removing the count doubles as the seen-set, so a
+        // later occurrence finds nothing and counts as a memory hit.
+        let mut counts: HashMap<ContentHash, u64> = HashMap::with_capacity(hashes.len());
+        for &h in hashes {
             *counts.entry(h).or_insert(0) += 1;
         }
         let mut to_run: Vec<(usize, u64)> = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let key = hashes[i];
+        for (index, &key) in hashes.iter().enumerate() {
             if !skip.is_empty() && skip.contains(&key) {
                 report.journal_replayed += 1;
                 continue;
             }
-            // Removing the count doubles as the seen-set: a later
-            // occurrence of a spec already resolved or queued finds nothing.
             let Some(mult) = counts.remove(&key) else {
                 report.memory_hits += 1;
                 continue;
             };
             match self.cache.get(key) {
                 Ok(Some((value, tier))) => {
-                    match tier {
-                        CacheTier::Memory => report.memory_hits += 1,
-                        CacheTier::Artifact => report.artifact_hits += 1,
-                    }
-                    if let Err(e) = absorb(&mut sink, key, mult, &value, &fold, checkpoint_every) {
-                        eprintln!(
-                            "hpcgrid-engine: run journal became unwritable: {e}; \
-                             stopping sweep (resume to finish)"
-                        );
-                        interrupted = true;
+                    let disposition = match tier {
+                        CacheTier::Memory => {
+                            report.memory_hits += 1;
+                            Disposition::MemoryHit
+                        }
+                        CacheTier::Artifact => {
+                            report.artifact_hits += 1;
+                            Disposition::ArtifactHit
+                        }
+                    };
+                    let hit = Resolved {
+                        index,
+                        key,
+                        mult,
+                        how: (disposition, Duration::ZERO, 0),
+                        result: Ok(value),
+                    };
+                    if sink.absorb(&mut hits, hit).is_break() {
+                        stopped = true;
+                        to_run.clear();
                         break;
                     }
                 }
-                Ok(None) => to_run.push((i, mult)),
+                Ok(None) => to_run.push((index, mult)),
                 Err(err) => {
+                    // Corrupt artifact: recompute rather than fail the sweep,
+                    // but count it and log the path so a damaged artifact
+                    // directory does not degrade silently.
                     report.cache_corrupt += 1;
                     let path = self
                         .cache
@@ -910,210 +656,267 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
                         .unwrap_or_else(|| "<no artifact dir>".to_string());
                     eprintln!(
                         "hpcgrid-engine: corrupt cache artifact for scenario `{}` at {path}: {err}; recomputing",
-                        spec.label()
+                        specs[index].label()
                     );
-                    to_run.push((i, mult));
+                    to_run.push((index, mult));
                 }
             }
         }
 
-        // Phase 2 — execute misses; workers commit artifacts through the
-        // shared cache handle, then journal + fold through the sink. Lock
-        // order is always cache before sink. A fired crash failpoint (or a
-        // journal write failure) raises `stop`, and every worker breaks
-        // before its next commit — simulating process death at a commit
-        // point.
-        let workers = self
+        // Phase 2 — execute the misses on a bounded work-stealing pool,
+        // caching each success before the sink absorbs it. A sink's `Break`
+        // raises `stop`, and every worker quits before its next scenario.
+        let threads = self
             .config
             .threads
-            .unwrap_or_else(|| default_threads(to_run.len()))
-            .max(1)
-            .min(to_run.len().max(1));
-        report.workers = if to_run.is_empty() || interrupted {
-            0
-        } else {
-            workers
-        };
-        let retry = self.config.retry;
-        let deadline = self.config.deadline;
-        let shared = Arc::clone(&self.shared);
-        let chaos = Arc::clone(&self.chaos);
+            .unwrap_or_else(|| default_threads(to_run.len()));
+        let workers = threads.max(1).min(to_run.len());
+        report.workers = workers;
+        let (retry, deadline) = (self.config.retry, self.config.deadline);
+        let (shared, chaos) = (&*self.shared, &*self.chaos);
         let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
+        let stop = AtomicBool::new(stopped);
         let cache = Mutex::new(&mut self.cache);
-        let sink = Mutex::new(sink);
-        let errors: Mutex<Vec<ScenarioError>> = Mutex::new(Vec::new());
-        // (executed, retries, busy) per worker.
-        type WorkerMeta = (usize, u32, Duration);
-        let metas: Mutex<Vec<WorkerMeta>> = Mutex::new(Vec::with_capacity(workers));
-        if !to_run.is_empty() && !interrupted {
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let f = &f;
-                    let fold = &fold;
-                    let specs = &specs;
-                    let hashes = &hashes;
-                    let to_run = &to_run;
-                    let next = &next;
-                    let stop = &stop;
-                    let cache = &cache;
-                    let sink = &sink;
-                    let errors = &errors;
-                    let metas = &metas;
-                    let shared = &shared;
-                    let chaos = &chaos;
-                    s.spawn(move || {
-                        let mut my_busy = Duration::ZERO;
-                        let mut my_executed = 0usize;
-                        let mut my_retries = 0u32;
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
+        let finished = Mutex::new(Vec::with_capacity(workers));
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                let mut local = new_local();
+                let (to_run, next, stop, cache, finished) =
+                    (&to_run, &next, &stop, &cache, &finished);
+                s.spawn(move || {
+                    let mut tally = WorkerTally::default();
+                    while !stop.load(Ordering::Relaxed) {
+                        let Some(&(index, mult)) = to_run.get(next.fetch_add(1, Ordering::Relaxed))
+                        else {
+                            break;
+                        };
+                        let spec = &specs[index];
+                        let key = hashes[index];
+                        let ctx = ScenarioCtx {
+                            spec,
+                            seed: spec.derived_seed(),
+                            shared,
+                        };
+                        let started = Instant::now();
+                        let (result, attempts) =
+                            execute_with_retries(s, f, ctx, key, retry, chaos, deadline);
+                        let wall = started.elapsed();
+                        tally.executed += 1;
+                        tally.retries += attempts.saturating_sub(1);
+                        tally.busy += wall;
+                        match &result {
+                            // A failed cache commit (disk full, permissions)
+                            // does not fail the scenario.
+                            Ok(value) => {
+                                _ = cache.lock().expect("cache mutex poisoned").put(spec, value)
                             }
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= to_run.len() {
-                                break;
-                            }
-                            let (slot, mult) = to_run[k];
-                            let spec = &specs[slot];
-                            let ctx = ScenarioCtx {
-                                spec,
-                                seed: spec.derived_seed(),
-                                shared,
-                            };
-                            let started = Instant::now();
-                            let (result, attempts) = execute_with_retries(
-                                s,
-                                f,
-                                ctx,
-                                hashes[slot],
-                                retry,
-                                chaos,
-                                deadline,
-                            );
-                            my_busy += started.elapsed();
-                            my_executed += 1;
-                            my_retries += attempts.saturating_sub(1);
-                            match result {
-                                Ok(value) => {
-                                    let _ = cache
-                                        .lock()
-                                        .expect("cache mutex poisoned")
-                                        .put(spec, &value);
-                                    if chaos.fire(sites::SWEEP_CRASH).is_some() {
-                                        // Simulated process death between
-                                        // compute and commit: the result is
-                                        // dropped un-journaled, exactly what
-                                        // a kill here would lose.
-                                        stop.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                    let mut sink = sink.lock().expect("sink mutex poisoned");
-                                    if let Err(e) = absorb(
-                                        &mut sink,
-                                        hashes[slot],
-                                        mult,
-                                        &value,
-                                        fold,
-                                        checkpoint_every,
-                                    ) {
-                                        eprintln!(
-                                            "hpcgrid-engine: run journal became unwritable: {e}; \
-                                             stopping sweep (resume to finish)"
-                                        );
-                                        stop.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                                Err(e) => {
-                                    errors.lock().expect("error mutex poisoned").push(e);
-                                }
+                            Err(e) => {
+                                tally.failed += 1;
+                                tally.timed_out += usize::from(e.is_timeout());
                             }
                         }
-                        metas.lock().expect("meta mutex poisoned").push((
-                            my_executed,
-                            my_retries,
-                            my_busy,
-                        ));
-                    });
-                }
-            });
-        }
-        interrupted = interrupted || stop.load(Ordering::Relaxed);
-
-        // Phase 3 — close out the journal and the report.
-        let mut sink = sink.into_inner().expect("sink mutex poisoned");
-        let acc = sink.acc.take().expect("sink accumulator present");
-        if interrupted {
-            // Best-effort flush: everything journaled so far is resumable.
-            let _ = sink.journal.flush();
-        } else {
-            // Final checkpoint covers the whole journal (resume restores in
-            // O(1) replay) and flushes the tail.
-            let done = sink.journal.done_count();
-            if let Err(e) = sink.journal.append_checkpoint(done, &acc.to_value()) {
-                eprintln!("hpcgrid-engine: final journal checkpoint failed: {e}");
-                interrupted = true;
+                        let done = Resolved {
+                            index,
+                            key,
+                            mult,
+                            how: (Disposition::Executed, wall, attempts),
+                            result,
+                        };
+                        if sink.absorb(&mut local, done).is_break() {
+                            stop.store(true, Ordering::Relaxed);
+                            break;
+                        }
+                    }
+                    finished
+                        .lock()
+                        .expect("worker mutex poisoned")
+                        .push((w, local, tally));
+                });
             }
+        });
+
+        // Phase 3 — the report: per-worker counters in worker order, then
+        // the probe-stat deltas.
+        report.interrupted = stop.into_inner();
+        let mut finished = finished.into_inner().expect("worker mutex poisoned");
+        finished.sort_by_key(|(w, ..)| *w);
+        let mut locals = vec![hits];
+        for (_, local, tally) in finished {
+            report.executed += tally.executed;
+            report.failed += tally.failed;
+            report.timed_out += tally.timed_out;
+            report.retries += tally.retries;
+            report.worker_busy.push(tally.busy);
+            locals.push(local);
         }
-        report.interrupted = interrupted;
-        for (executed, retries, busy) in metas.into_inner().expect("meta mutex poisoned") {
-            report.executed += executed;
-            report.retries += retries;
-            report.worker_busy.push(busy);
-        }
-        let errors = errors.into_inner().expect("error mutex poisoned");
-        report.failed = errors.len();
-        report.timed_out = errors.iter().filter(|e| e.is_timeout()).count();
         let probes1 = self.cache.probe_stats();
         report.index_probes = probes1.index_probes - probes0.index_probes;
         report.disk_reads = probes1.disk_reads - probes0.disk_reads;
         report.wall = t0.elapsed();
-        Ok(FoldOutcome {
-            value: acc,
-            errors,
-            report,
-        })
+        (report, locals)
     }
 }
 
-/// The single folding sink of a journaled fold: completed results append to
-/// the journal and fold into the accumulator under one lock, so the journal
-/// is always a faithful prefix of the fold.
-struct FoldSink<A> {
+/// One resolved unique scenario, as the driver hands it to a sink.
+struct Resolved<R> {
+    /// Index into the submitted specs of the occurrence that was probed.
+    index: usize,
+    key: ContentHash,
+    /// Occurrences of `key` in the submission this result stands for.
+    mult: u64,
+    /// How it was resolved, its execution wall time, and attempts made
+    /// (zero for cache hits).
+    how: (Disposition, Duration, u32),
+    result: Result<R, ScenarioError>,
+}
+
+/// Where the driver hands each resolved scenario. A sink only absorbs:
+/// probing, execution, cache puts and the report belong to the driver.
+trait Sink<R>: Sync {
+    /// Absorbing state private to phase 1 or to one worker, handed back to
+    /// the entry point when the sweep ends.
+    type Local: Send;
+
+    /// Absorb one resolved scenario; `Break` stops the sweep.
+    fn absorb(&self, local: &mut Self::Local, r: Resolved<R>) -> ControlFlow<()>;
+}
+
+/// One worker's contribution to the run report.
+#[derive(Default)]
+struct WorkerTally {
+    executed: usize,
+    failed: usize,
+    timed_out: usize,
+    retries: u32,
+    busy: Duration,
+}
+
+/// [`SweepRunner::run`]'s sink: keeps every resolved scenario, so `run` can
+/// fill slots, alias duplicates and build records once the sweep ends.
+struct Indexed;
+
+impl<R: Send> Sink<R> for Indexed {
+    type Local = Vec<Resolved<R>>;
+
+    fn absorb(&self, kept: &mut Self::Local, r: Resolved<R>) -> ControlFlow<()> {
+        kept.push(r);
+        ControlFlow::Continue(())
+    }
+}
+
+/// [`SweepRunner::run_fold`]'s sink: each worker folds into its own
+/// accumulator and keeps its own errors, so the fold path takes no lock.
+struct PerWorkerFold<'a, A, Fold> {
+    fold: &'a Fold,
+    acc: PhantomData<fn(A) -> A>,
+}
+
+impl<A, R, Fold> Sink<R> for PerWorkerFold<'_, A, Fold>
+where
+    A: Send,
+    R: Clone + Send,
+    Fold: Fn(A, R) -> A + Sync,
+{
+    type Local = (Option<A>, Vec<ScenarioError>);
+
+    fn absorb(&self, (acc, errors): &mut Self::Local, r: Resolved<R>) -> ControlFlow<()> {
+        match r.result {
+            Ok(value) => _ = fold_into(acc, value, r.mult, self.fold),
+            Err(e) => errors.push(e),
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The journaled sink of [`SweepRunner::run_fold_journaled`] and
+/// [`SweepRunner::resume`]: completed results append to the journal and
+/// fold into the accumulator under one lock, so the journal is always a
+/// faithful prefix of the fold.
+struct Journaled<'a, A, Fold> {
+    state: Mutex<JournalState<A>>,
+    fold: &'a Fold,
+    checkpoint_every: usize,
+    chaos: &'a FailpointSet,
+}
+
+struct JournalState<A> {
     journal: RunJournal,
-    /// `Option` so the fold closure can take the accumulator by value.
     acc: Option<A>,
 }
 
-/// Journal one completed scenario and fold it into the sink's accumulator
-/// (once per submission occurrence), checkpointing at the configured
-/// cadence.
-fn absorb<A, R, Fold>(
-    sink: &mut FoldSink<A>,
-    key: ContentHash,
-    mult: u64,
-    value: &R,
-    fold: &Fold,
-    checkpoint_every: usize,
-) -> Result<(), EngineError>
+impl<A, R, Fold> Sink<R> for Journaled<'_, A, Fold>
 where
-    A: Serialize,
-    R: Clone + Serialize,
-    Fold: Fn(A, R) -> A,
+    A: Send + Serialize,
+    R: Clone + Send + Serialize,
+    Fold: Fn(A, R) -> A + Sync,
 {
-    sink.journal.append_done(key, mult, &value.to_value())?;
-    let mut acc = sink.acc.take().expect("sink accumulator present");
-    for _ in 0..mult {
-        acc = fold(acc, value.clone());
+    /// Failed scenarios are not journaled (a resume attempts them again);
+    /// each worker keeps its own.
+    type Local = Vec<ScenarioError>;
+
+    fn absorb(&self, errors: &mut Self::Local, r: Resolved<R>) -> ControlFlow<()> {
+        let value = match r.result {
+            Ok(value) => value,
+            Err(e) => {
+                errors.push(e);
+                return ControlFlow::Continue(());
+            }
+        };
+        if r.how.0 == Disposition::Executed && self.chaos.fire(sites::SWEEP_CRASH).is_some() {
+            // Simulated process death between compute and commit: the
+            // result is dropped un-journaled, exactly what a kill here would
+            // lose.
+            return ControlFlow::Break(());
+        }
+        let mut state = self.state.lock().expect("sink mutex poisoned");
+        match state.absorb(r.key, r.mult, value, self.fold, self.checkpoint_every) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(e) => {
+                eprintln!(
+                    "hpcgrid-engine: run journal became unwritable: {e}; \
+                     stopping sweep (resume to finish)"
+                );
+                ControlFlow::Break(())
+            }
+        }
     }
-    sink.acc = Some(acc);
-    if sink.journal.done_count().is_multiple_of(checkpoint_every) {
-        let acc_value = sink.acc.as_ref().expect("just replaced").to_value();
-        let done = sink.journal.done_count();
-        sink.journal.append_checkpoint(done, &acc_value)?;
+}
+
+impl<A: Serialize> JournalState<A> {
+    /// Journal one resolved scenario and fold it into the accumulator (once
+    /// per submission occurrence), checkpointing at the configured cadence.
+    fn absorb<R: Clone + Serialize>(
+        &mut self,
+        key: ContentHash,
+        mult: u64,
+        value: R,
+        fold: &impl Fn(A, R) -> A,
+        checkpoint_every: usize,
+    ) -> Result<(), EngineError> {
+        self.journal.append_done(key, mult, &value.to_value())?;
+        let acc = fold_into(&mut self.acc, value, mult, fold);
+        let done = self.journal.done_count();
+        if done.is_multiple_of(checkpoint_every) {
+            self.journal.append_checkpoint(done, &acc.to_value())?;
+        }
+        Ok(())
     }
-    Ok(())
+}
+
+/// Fold `value` into the accumulator once per occurrence (`mult >= 1`).
+/// Sinks keep their accumulator in an `Option` so `fold` can take it by
+/// value.
+fn fold_into<'a, A, R: Clone>(
+    acc: &'a mut Option<A>,
+    value: R,
+    mult: u64,
+    fold: &impl Fn(A, R) -> A,
+) -> &'a mut A {
+    let mut folded = acc.take().expect("accumulator present");
+    for _ in 1..mult {
+        folded = fold(folded, value.clone());
+    }
+    acc.insert(fold(folded, value))
 }
 
 /// How one attempt of a scenario closure ended.
@@ -1296,6 +1099,29 @@ mod tests {
         assert_eq!(outcome.report.executed, 1);
         assert_eq!(outcome.report.memory_hits, 2);
         assert!(outcome.results.iter().all(|r| r.is_ok()));
+    }
+
+    #[test]
+    fn every_occurrence_of_a_failed_duplicate_is_recorded_failed() {
+        let one = specs(1);
+        let tripled = vec![one[0].clone(), one[0].clone(), one[0].clone()];
+        let count = AtomicUsize::new(0);
+        let mut runner: SweepRunner<i64> = SweepRunner::new();
+        let outcome = runner.run(&tripled, |_| {
+            count.fetch_add(1, Ordering::SeqCst);
+            panic!("always fails")
+        });
+        assert_eq!(count.load(Ordering::SeqCst), 1, "duplicates execute once");
+        assert_eq!(outcome.report.executed, 1);
+        assert_eq!(outcome.report.failed, 1);
+        assert_eq!(outcome.report.memory_hits, 2);
+        assert_eq!(outcome.errors().count(), 3);
+        assert!(outcome
+            .report
+            .scenarios
+            .iter()
+            .all(|r| r.disposition == Disposition::Failed));
+        assert_eq!(outcome.report.scenarios.len(), 3);
     }
 
     #[test]

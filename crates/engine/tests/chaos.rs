@@ -6,9 +6,10 @@
 //! fires at a known hit ordinal and the run reproduces bit-for-bit.
 
 use hpcgrid_engine::{
-    FailpointSet, ResultCache, RunJournal, ScenarioError, ScenarioSpec, SweepRunner,
+    FailpointSet, ResultCache, RunJournal, ScenarioCtx, ScenarioError, ScenarioSpec, SweepRunner,
 };
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Duration;
 
 fn specs(n: u64) -> Vec<ScenarioSpec> {
@@ -316,6 +317,80 @@ fn resume_of_a_finished_sweep_executes_nothing() {
     assert_eq!(again.report.executed, 0);
     assert_eq!(again.report.journal_replayed, 50);
     std::fs::remove_file(&journal).unwrap();
+}
+
+/// Tear the journal at its `tear_at`-th write (write 1 is the header) in a
+/// 100-scenario journaled fold, then resume on a fresh runner. The torn
+/// write must stop the sweep, leave a replayable journal, and the resume
+/// must be bit-identical to an uninterrupted fold without re-executing any
+/// journaled scenario. With `warm`, every scenario is already cached, so the
+/// tear lands while phase 1 folds cache hits; cold, it lands during
+/// execution.
+fn torn_journal_resumes_bit_identically(tag: &str, warm: bool, tear_at: u64) {
+    let journal = temp_path(tag);
+    let specs = specs(100);
+    let scenario = |ctx: ScenarioCtx<'_>| Ok(ctx.spec.param_i64("i")? as u64 * 13);
+    let fold = |acc: u64, x: u64| acc.wrapping_add(x);
+    let expected: u64 = (0..100u64).map(|i| i * 13).sum();
+
+    let mut torn: SweepRunner<u64> = SweepRunner::new()
+        .checkpoint_every(8)
+        .chaos(points(&format!("engine.journal.torn=err@nth:{tear_at}")));
+    if warm {
+        torn.run_fold(&specs, scenario, 0u64, fold, fold);
+    }
+    let partial = torn
+        .run_fold_journaled(&journal, &specs, scenario, 0u64, fold)
+        .unwrap();
+    assert!(partial.report.interrupted, "the torn write stops the sweep");
+    if warm {
+        assert_eq!(partial.report.executed, 0, "torn while folding hits");
+    } else {
+        assert!(partial.report.executed > 0, "torn during execution");
+    }
+
+    let replay = RunJournal::replay(&journal).unwrap();
+    assert!(replay.torn, "the half-written frame reads as a torn tail");
+    let journaled = replay.done_set();
+    assert!(!journaled.is_empty() && journaled.len() < 100);
+
+    let executed = Mutex::new(Vec::new());
+    let mut fresh: SweepRunner<u64> = SweepRunner::new();
+    let resumed = fresh
+        .resume(
+            &journal,
+            &specs,
+            |ctx| {
+                executed.lock().unwrap().push(ctx.spec.content_hash());
+                scenario(ctx)
+            },
+            0u64,
+            fold,
+        )
+        .unwrap();
+    assert_eq!(
+        resumed.value, expected,
+        "bit-identical to an uninterrupted fold"
+    );
+    assert!(!resumed.report.interrupted);
+    assert_eq!(resumed.report.journal_replayed, journaled.len());
+    let executed = executed.into_inner().unwrap();
+    assert_eq!(executed.len(), 100 - journaled.len());
+    assert!(
+        executed.iter().all(|h| !journaled.contains(h)),
+        "a journaled scenario was re-executed"
+    );
+    std::fs::remove_file(&journal).unwrap();
+}
+
+#[test]
+fn journal_torn_while_folding_cache_hits_stops_and_resumes() {
+    torn_journal_resumes_bit_identically("torn-phase1.hgj", true, 30);
+}
+
+#[test]
+fn journal_torn_during_execution_stops_and_resumes() {
+    torn_journal_resumes_bit_identically("torn-phase2.hgj", false, 30);
 }
 
 #[test]

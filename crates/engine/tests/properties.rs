@@ -374,3 +374,139 @@ proptest! {
         std::fs::remove_file(&journal).unwrap();
     }
 }
+
+/// One scenario of the parity sweep: `i == 12` always panics, and `i == 21`
+/// panics on its first attempt only (`flaky` counts its attempts).
+fn parity_scenario(
+    ctx: hpcgrid_engine::ScenarioCtx<'_>,
+    flaky: &std::sync::atomic::AtomicUsize,
+) -> Result<(u64, u64), String> {
+    let i = ctx.spec.param_i64("i")?;
+    if i == 12 {
+        panic!("always fails");
+    }
+    if i == 21 && flaky.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+        panic!("transient parity fault");
+    }
+    Ok(((i as u64).wrapping_mul(0x9E3779B97F4A7C15), ctx.seed))
+}
+
+/// A cache directory holding artifacts for specs `0..10` of `distinct`, with
+/// the one for spec 4 overwritten by garbage.
+fn parity_cache_dir(tag: &str, distinct: &[ScenarioSpec]) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("hpcgrid-prop-parity-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let flaky = std::sync::atomic::AtomicUsize::new(0);
+    let mut warm: SweepRunner<(u64, u64)> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    warm.run(&distinct[..10], |ctx| parity_scenario(ctx, &flaky))
+        .expect_all("warm-up");
+    let corrupt = warm
+        .cache_mut()
+        .artifact_path_for(distinct[4].content_hash())
+        .unwrap();
+    std::fs::write(corrupt, "not a valid artifact").unwrap();
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// `run` + a sequential fold, `run_fold` and `run_fold_journaled` share
+    /// one driver: over a shuffled sweep holding duplicates, a planted
+    /// corrupt artifact, an always-panicking scenario and a
+    /// retried-then-recovered one, all three give the same value and the
+    /// same counters.
+    #[test]
+    fn every_entry_point_agrees_on_value_and_counters(shuffle_seed in 0u64..u64::MAX) {
+        use hpcgrid_engine::{RetryPolicy, RunReport};
+        use std::sync::atomic::AtomicUsize;
+
+        let distinct: Vec<ScenarioSpec> = (0..40u64)
+            .map(|i| {
+                ScenarioSpec::builder("prop-parity")
+                    .trace_seed(3)
+                    .param("i", i as i64)
+                    .build()
+            })
+            .collect();
+        // Every fourth spec twice: duplicates of artifact hits (0, 8), of the
+        // corrupt artifact (4), of the panicking scenario (12), of misses.
+        let mut specs: Vec<ScenarioSpec> =
+            distinct.iter().chain(distinct.iter().step_by(4)).cloned().collect();
+        let mut state = shuffle_seed | 1;
+        for i in (1..specs.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            specs.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let fold = |(s, x): (u64, u64), (a, b): (u64, u64)| (s.wrapping_add(a), x ^ b);
+        let runner = |tag: &str| -> SweepRunner<(u64, u64)> {
+            SweepRunner::with_artifact_dir(parity_cache_dir(tag, &distinct))
+                .unwrap()
+                .retry(RetryPolicy::with_budget(1))
+        };
+        let counters = |r: &RunReport| {
+            (
+                r.memory_hits,
+                r.artifact_hits,
+                r.executed,
+                r.failed,
+                r.retries,
+                r.cache_corrupt,
+                r.index_probes,
+                r.disk_reads,
+            )
+        };
+
+        let tag = format!("{shuffle_seed}-run");
+        let flaky = AtomicUsize::new(0);
+        let run = runner(&tag).run(&specs, |ctx| parity_scenario(ctx, &flaky));
+        let run_value = run.successes().copied().fold((0, 0), fold);
+        prop_assert_eq!(run.errors().count(), 2, "both occurrences of the panicking spec");
+
+        let tag_fold = format!("{shuffle_seed}-fold");
+        let flaky = AtomicUsize::new(0);
+        let folded = runner(&tag_fold).run_fold(
+            &specs,
+            |ctx| parity_scenario(ctx, &flaky),
+            (0, 0),
+            fold,
+            |(s1, x1), (s2, x2)| (s1.wrapping_add(s2), x1 ^ x2),
+        );
+
+        let tag_journal = format!("{shuffle_seed}-journal");
+        let journal = std::env::temp_dir().join(format!(
+            "hpcgrid-prop-parity-{}-{tag_journal}.hgj",
+            std::process::id()
+        ));
+        let flaky = AtomicUsize::new(0);
+        let journaled = runner(&tag_journal)
+            .run_fold_journaled(&journal, &specs, |ctx| parity_scenario(ctx, &flaky), (0, 0), fold)
+            .unwrap();
+
+        prop_assert_eq!(folded.value, run_value);
+        prop_assert_eq!(journaled.value, run_value);
+        prop_assert_eq!(folded.errors.len(), 1);
+        prop_assert_eq!(journaled.errors.len(), 1);
+        prop_assert!(!journaled.report.interrupted);
+        // 40 unique scenarios, 10 duplicates: 9 artifact hits, 1 corrupt
+        // artifact, 31 executions (one fails after a retry, one recovers on
+        // its retry), one index probe per unique scenario, and a disk read
+        // per artifact, corrupt included.
+        let expected = (10, 9, 31, 1, 2, 1, 40, 10);
+        prop_assert_eq!(counters(&run.report), expected);
+        prop_assert_eq!(counters(&folded.report), expected);
+        prop_assert_eq!(counters(&journaled.report), expected);
+
+        std::fs::remove_file(&journal).unwrap();
+        for tag in [tag, tag_fold, tag_journal] {
+            std::fs::remove_dir_all(std::env::temp_dir().join(format!(
+                "hpcgrid-prop-parity-{}-{tag}",
+                std::process::id()
+            )))
+            .unwrap();
+        }
+    }
+}
