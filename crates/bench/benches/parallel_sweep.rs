@@ -1,12 +1,12 @@
-//! Bench: parallel vs sequential Monte-Carlo sweeps (the crossbeam
-//! machinery behind the experiment harness; hpc-parallel ablation).
+//! Bench: parallel vs sequential Monte-Carlo sweeps through `try_par_map`
+//! (hpc-parallel ablation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcgrid_core::billing::BillingEngine;
 use hpcgrid_core::contract::Contract;
 use hpcgrid_core::demand_charge::DemandCharge;
 use hpcgrid_core::tariff::Tariff;
-use hpcgrid_timeseries::par::{par_map, par_map_dynamic};
+use hpcgrid_timeseries::par::try_par_map;
 use hpcgrid_timeseries::series::{PowerSeries, Series};
 use hpcgrid_units::{Calendar, DemandPrice, Duration, EnergyPrice, Power, SimTime};
 use std::hint::black_box;
@@ -39,11 +39,11 @@ fn bench_sweep(c: &mut Criterion) {
     g.bench_function("sequential", |b| {
         b.iter(|| black_box(scenarios.iter().map(run_one).sum::<f64>()))
     });
-    g.bench_function("par_map_static", |b| {
-        b.iter(|| black_box(par_map(&scenarios, run_one).iter().sum::<f64>()))
-    });
-    g.bench_function("par_map_dynamic", |b| {
-        b.iter(|| black_box(par_map_dynamic(&scenarios, run_one).iter().sum::<f64>()))
+    g.bench_function("try_par_map", |b| {
+        b.iter(|| {
+            let bills = try_par_map(&scenarios, run_one).unwrap();
+            black_box(bills.iter().sum::<f64>())
+        })
     });
     g.finish();
 }

@@ -19,8 +19,9 @@
 //! The warm pass is then measured over all three ingest shapes (the
 //! "hot-path data layout" ladder in `docs/ARCHITECTURE.md`):
 //!
-//! * **scalar** — AoS `advance_tick`: per-sample directory probes and
-//!   shard-buffer pushes at scatter, `catch_unwind` per push;
+//! * **scalar** — AoS `advance_tick`: each tick's samples are transposed
+//!   into a fresh frame, whose id lane is compared against the cached
+//!   `ScatterPlan`'s, then folded like a frame, `catch_unwind` per push;
 //! * **frames** — columnar `advance_frame`: one cached `ScatterPlan`
 //!   resolves the whole frame shape, workers pull the power lane through
 //!   prefix-sum buckets;
@@ -36,8 +37,9 @@
 //! path's ≥2.5× claim over the committed scalar baseline.
 //!
 //! `HPCGRID_FLEET_METERS` overrides the fleet size (CI smoke runs at
-//! 10 000); `HPCGRID_FLEET_SHARDS` overrides the shards-per-contract count
-//! exactly as it does for any other `MeterFleet` user.
+//! 10 000); `HPCGRID_FLEET_SHARDS` sets the shards-per-contract count
+//! (default: the machine's available parallelism, as `MeterFleet::new`).
+//! A malformed `HPCGRID_FLEET_SHARDS` stops the binary with an error.
 
 use hpcgrid_bench::table::TextTable;
 use hpcgrid_core::billing::Precision;
@@ -47,6 +49,7 @@ use hpcgrid_core::demand_charge::DemandCharge;
 use hpcgrid_core::fleet::{MeterFleet, MeterId, Sample, TickFrame};
 use hpcgrid_core::powerband::Powerband;
 use hpcgrid_core::tariff::{DayFilter, Tariff, TouTariff, TouWindow};
+use hpcgrid_timeseries::par::default_threads;
 use hpcgrid_timeseries::series::{PowerSeries, Series};
 use hpcgrid_units::{
     Calendar, DemandPrice, Duration, EnergyPrice, Money, MonthSet, Power, SimTime, TimeOfDay,
@@ -175,19 +178,32 @@ fn compile_kernels(
         .collect()
 }
 
-/// Register `meters` meters round-robin across the kernels, stream all
-/// [`TICKS`] ticks through a reused sample buffer, and return the fleet
-/// plus the wall-clock seconds spent registering and ticking.
+/// `HPCGRID_FLEET_SHARDS`: a positive shards-per-contract count, or `None`
+/// when unset or empty (the fleet default).
+fn parse_shards(value: Option<&str>) -> Result<Option<usize>, String> {
+    value
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("expected a positive shard count, got '{v}'")),
+        })
+        .transpose()
+}
+
+/// Register `meters` meters round-robin across the kernels on a fleet of
+/// `shards` shards per contract, stream all [`TICKS`] ticks through a
+/// reused sample buffer, and return the fleet plus the wall-clock seconds
+/// spent registering and ticking.
 fn run_fleet(
     calendar: Calendar,
     kernels: &[Arc<CompiledContract>],
     meters: usize,
     start: SimTime,
     end: SimTime,
+    shards: usize,
 ) -> (MeterFleet, f64, f64) {
     let step = Duration::from_minutes(15.0);
     let t0 = Instant::now();
-    let mut fleet = MeterFleet::new(calendar, start, end);
+    let mut fleet = MeterFleet::with_shards(calendar, start, end, shards);
     let mut ids: Vec<MeterId> = Vec::with_capacity(meters);
     for i in 0..meters {
         let kernel = Arc::clone(&kernels[i % kernels.len()]);
@@ -233,10 +249,11 @@ fn run_fleet_batched(
     start: SimTime,
     end: SimTime,
     window: usize,
+    shards: usize,
 ) -> (MeterFleet, f64, f64) {
     let step = Duration::from_minutes(15.0);
     let t0 = Instant::now();
-    let mut fleet = MeterFleet::new(calendar, start, end);
+    let mut fleet = MeterFleet::with_shards(calendar, start, end, shards);
     let mut ids: Vec<MeterId> = Vec::with_capacity(meters);
     for i in 0..meters {
         let kernel = Arc::clone(&kernels[i % kernels.len()]);
@@ -274,6 +291,13 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .filter(|n| *n >= PROFILES)
         .unwrap_or(DEFAULT_METERS);
+    let shards_var = std::env::var("HPCGRID_FLEET_SHARDS").ok();
+    let shards = parse_shards(shards_var.as_deref().filter(|v| !v.is_empty()))
+        .unwrap_or_else(|e| {
+            eprintln!("error: HPCGRID_FLEET_SHARDS: {e}");
+            std::process::exit(2)
+        })
+        .unwrap_or_else(|| default_threads(usize::MAX));
     let calendar = Calendar::default();
     let (start, end) = (SimTime::EPOCH, SimTime::from_days(30));
     let shapes = contract_shapes();
@@ -283,9 +307,9 @@ fn main() {
     // contract shape and profile class.
     let gate_kernels = compile_kernels(calendar, &shapes, start, end);
     let gate_meters = 4 * PROFILES;
-    let (gate_scalar, _, _) = run_fleet(calendar, &gate_kernels, gate_meters, start, end);
+    let (gate_scalar, _, _) = run_fleet(calendar, &gate_kernels, gate_meters, start, end, shards);
     let (gate_frames, _, _) =
-        run_fleet_batched(calendar, &gate_kernels, gate_meters, start, end, 1);
+        run_fleet_batched(calendar, &gate_kernels, gate_meters, start, end, 1, shards);
     let (gate_fused, _, _) = run_fleet_batched(
         calendar,
         &gate_kernels,
@@ -293,6 +317,7 @@ fn main() {
         start,
         end,
         WINDOW_TICKS,
+        shards,
     );
     for i in 0..gate_meters {
         let batch = gate_kernels[i % gate_kernels.len()]
@@ -320,7 +345,7 @@ fn main() {
     // cursor mode.
     let cold_kernels = compile_kernels(calendar, &shapes, start, end);
     let (cold_fleet, cold_reg_s, cold_stream_s) =
-        run_fleet(calendar, &cold_kernels, meters, start, end);
+        run_fleet(calendar, &cold_kernels, meters, start, end, shards);
     let cold = cold_fleet.stats();
     drop(cold_fleet); // free ~bytes_per_meter * meters before the warm pass
 
@@ -330,7 +355,7 @@ fn main() {
         k.bill(&meter_series(i)).unwrap();
     }
     let (warm_fleet, warm_reg_s, warm_stream_s) =
-        run_fleet(calendar, &cold_kernels, meters, start, end);
+        run_fleet(calendar, &cold_kernels, meters, start, end, shards);
     let warm = warm_fleet.stats();
     drop(warm_fleet);
 
@@ -338,11 +363,18 @@ fn main() {
     // (plan scatter, one tick per advance), then fused 16-tick windows
     // (one push_run per meter per window).
     let (frames_fleet, frames_reg_s, frames_stream_s) =
-        run_fleet_batched(calendar, &cold_kernels, meters, start, end, 1);
+        run_fleet_batched(calendar, &cold_kernels, meters, start, end, 1, shards);
     let warm_frames = frames_fleet.stats();
     drop(frames_fleet);
-    let (fused_fleet, fused_reg_s, fused_stream_s) =
-        run_fleet_batched(calendar, &cold_kernels, meters, start, end, WINDOW_TICKS);
+    let (fused_fleet, fused_reg_s, fused_stream_s) = run_fleet_batched(
+        calendar,
+        &cold_kernels,
+        meters,
+        start,
+        end,
+        WINDOW_TICKS,
+        shards,
+    );
     let warm_fused = fused_fleet.stats();
 
     let mut t = TextTable::new(vec![
@@ -500,4 +532,19 @@ fn main() {
         }
     }
     println!("X7 OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shards_edge_value_parses_or_errors() {
+        assert_eq!(parse_shards(None), Ok(None));
+        assert_eq!(parse_shards(Some("5")), Ok(Some(5)));
+        for bad in ["0", "-1", "five"] {
+            let err = parse_shards(Some(bad)).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+    }
 }

@@ -4,20 +4,18 @@
 
 use hpcgrid_bench::scenarios::*;
 use hpcgrid_bench::table::TextTable;
-use hpcgrid_core::billing::BillingEngine;
 use hpcgrid_dr::arbitrage::{run_arbitrage, threshold_plan};
 use hpcgrid_facility::storage::Battery;
 use hpcgrid_timeseries::resample::downsample_mean;
-use hpcgrid_units::{Calendar, Duration, Energy, Power};
+use hpcgrid_units::{Duration, Energy, Power};
 
 fn main() {
     println!("== X2: battery storage vs contract components ==\n");
     let (_, load) = reference_run(41);
-    let engine = BillingEngine::new(Calendar::default());
     let contract = typical_contract();
 
     // Peak shaving against the demand charge.
-    let base_bill = engine.bill(&contract, &load).unwrap();
+    let base_bill = bill(&contract, &load);
     let peak = load.peak().unwrap();
     let mut t = TextTable::new(vec![
         "battery",
@@ -45,14 +43,14 @@ fn main() {
         let target = peak * 0.85;
         let plan = battery.peak_shave_plan(&load, target, load.mean_power().unwrap());
         let sim = battery.simulate(&load, &plan, battery.capacity).unwrap();
-        let bill = engine.bill(&contract, &sim.net_load).unwrap();
-        let saving = base_bill.total() - bill.total();
+        let shaved = bill(&contract, &sim.net_load);
+        let saving = base_bill.total() - shaved.total();
         best_saving = best_saving.max(saving.as_dollars());
         t.row(vec![
             format!("{cap_kwh:.0} kWh / {rate_kw:.0} kW"),
             target.to_string(),
             sim.net_load.peak().unwrap().to_string(),
-            bill.total().to_string(),
+            shaved.total().to_string(),
             saving.to_string(),
         ]);
     }

@@ -11,6 +11,19 @@
 //! to a directory to persist results between runs (re-running an experiment
 //! then only recomputes changed scenarios).
 //!
+//! This module is the experiment binaries' edge: the only place their
+//! shared knobs are read from the environment. The libraries take every
+//! knob as a value; an unset or empty variable means the library default,
+//! and a malformed value stops the binary with an error naming the
+//! variable.
+//!
+//! * `HPCGRID_PRECISION` (`bit_exact` or `fast`, read once) — the
+//!   precision [`bill`], [`bill_many`], [`compile_contract`] and
+//!   [`experiment_spec`] use. Kernels the libraries compile themselves
+//!   (a fleet's or a ledger's) stay bit-exact.
+//! * `HPCGRID_SWEEP_CACHE`, `HPCGRID_SWEEP_ARTIFACT_FORMAT` and
+//!   `HPCGRID_FAILPOINTS` — how [`experiment_runner`] builds each runner.
+//!
 //! Heavy per-sweep substrate — compiled kernels, load and price series —
 //! rides into scenario closures through the engine's zero-copy
 //! [`hpcgrid_engine::SharedInputs`] registry rather than ad-hoc closure
@@ -22,7 +35,9 @@ use hpcgrid_core::billing::{BillingEngine, Precision};
 use hpcgrid_core::contract::Contract;
 use hpcgrid_core::demand_charge::DemandCharge;
 use hpcgrid_core::tariff::Tariff;
-use hpcgrid_engine::{ScenarioSpecBuilder, SharedInputs, SweepRunner};
+use hpcgrid_engine::{
+    ArtifactFormat, FailpointSet, ScenarioSpecBuilder, SharedInputs, SweepRunner,
+};
 use hpcgrid_facility::node::NodeSpec;
 use hpcgrid_facility::site::{Country, SiteSpec};
 use hpcgrid_grid::demand::{demand_series, DemandParams};
@@ -35,7 +50,7 @@ use hpcgrid_scheduler::sim::ScheduleSimulator;
 use hpcgrid_timeseries::series::{PowerSeries, PriceSeries};
 use hpcgrid_units::{Calendar, DemandPrice, Duration, EnergyPrice, Money, Power, SimTime};
 use hpcgrid_workload::trace::{JobTrace, WorkloadBuilder};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The default experiment horizon: 30 days.
 pub const HORIZON_DAYS: u64 = 30;
@@ -134,9 +149,62 @@ pub fn typical_contract() -> Contract {
         .expect("typical contract is valid")
 }
 
+/// Read the edge variable `var` and parse its value (`None` when unset or
+/// empty). A malformed value stops the binary with an error naming `var`.
+fn edge<T>(var: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+    let parsed = match std::env::var(var) {
+        Ok(value) => parse(Some(value.as_str()).filter(|v| !v.is_empty())),
+        Err(std::env::VarError::NotPresent) => parse(None),
+        Err(e) => Err(e.to_string()),
+    };
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {var}: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// `HPCGRID_PRECISION`: a [`Precision`] label, [`Precision::BitExact`] by
+/// default.
+fn parse_precision(value: Option<&str>) -> Result<Precision, String> {
+    value.map_or(Ok(Precision::BitExact), |v| {
+        v.parse()
+            .map_err(|_| format!("unknown precision '{v}' (expected 'bit_exact' or 'fast')"))
+    })
+}
+
+/// `HPCGRID_SWEEP_ARTIFACT_FORMAT`: an [`ArtifactFormat`] label,
+/// [`ArtifactFormat::Binary`] by default.
+fn parse_artifact_format(value: Option<&str>) -> Result<ArtifactFormat, String> {
+    let Some(v) = value else {
+        return Ok(ArtifactFormat::Binary);
+    };
+    [ArtifactFormat::Binary, ArtifactFormat::Json]
+        .into_iter()
+        .find(|f| v.eq_ignore_ascii_case(f.label()))
+        .ok_or_else(|| format!("unknown artifact format '{v}' (expected 'binary' or 'json')"))
+}
+
+/// `HPCGRID_FAILPOINTS`: a failpoint configuration (grammar in
+/// [`hpcgrid_engine::chaos`]), the inert set by default.
+fn parse_failpoints(value: Option<&str>) -> Result<FailpointSet, String> {
+    FailpointSet::parse(value.unwrap_or(""))
+}
+
+/// The precision the experiment helpers bill at: `HPCGRID_PRECISION`, read
+/// once.
+fn precision() -> Precision {
+    static PRECISION: OnceLock<Precision> = OnceLock::new();
+    *PRECISION.get_or_init(|| edge("HPCGRID_PRECISION", parse_precision))
+}
+
+/// A billing engine under the default calendar at the edge precision.
+fn engine() -> BillingEngine {
+    BillingEngine::new(Calendar::default()).with_precision(precision())
+}
+
 /// Bill a load under a contract with the default calendar.
 pub fn bill(contract: &Contract, load: &PowerSeries) -> hpcgrid_core::billing::Bill {
-    BillingEngine::new(Calendar::default())
+    engine()
         .bill(contract, load)
         .expect("billing succeeds on experiment loads")
 }
@@ -146,7 +214,7 @@ pub fn bill(contract: &Contract, load: &PowerSeries) -> hpcgrid_core::billing::B
 /// evaluation fans out across threads; bills are bit-identical to [`bill`]
 /// and returned in load order.
 pub fn bill_many(contract: &Contract, loads: &[PowerSeries]) -> Vec<hpcgrid_core::billing::Bill> {
-    BillingEngine::new(Calendar::default())
+    engine()
         .bill_many(contract, loads)
         .expect("batch billing succeeds on experiment loads")
 }
@@ -159,7 +227,7 @@ pub fn compile_contract(
     start: SimTime,
     end: SimTime,
 ) -> hpcgrid_core::compiled::CompiledContract {
-    BillingEngine::new(Calendar::default())
+    engine()
         .compile(contract, start, end)
         .expect("experiment contracts compile")
 }
@@ -168,7 +236,7 @@ pub fn compile_contract(
 /// world's identity (site, horizon) so specs — and therefore cache keys —
 /// from different experiment binaries agree on what the baseline is.
 ///
-/// The active billing [`Precision`] (the `HPCGRID_PRECISION` selection the
+/// The edge billing [`Precision`] (the `HPCGRID_PRECISION` selection the
 /// experiment helpers bill under) is recorded as the reserved `precision`
 /// param, so bit-exact and fast runs of one experiment cache under
 /// different content hashes and can never serve each other's results.
@@ -177,25 +245,30 @@ pub fn experiment_spec(experiment: &str, trace_seed: u64) -> ScenarioSpecBuilder
         .site("exp-site")
         .trace_seed(trace_seed)
         .horizon_days(HORIZON_DAYS)
-        .precision(Precision::from_env().label())
+        .precision(precision().label())
 }
 
-/// A sweep runner for experiment binaries. Honours `HPCGRID_SWEEP_CACHE`:
-/// when set, results persist as content-addressed artifacts under that
-/// directory (compact checksummed binary by default;
-/// `HPCGRID_SWEEP_ARTIFACT_FORMAT=json` keeps the legacy JSON encoding) and
-/// re-runs only compute the delta; otherwise the cache is in-memory (still
-/// deduplicates within one process).
+/// A sweep runner for experiment binaries, configured at the edge:
+///
+/// * `HPCGRID_SWEEP_CACHE` — when set, results persist as content-addressed
+///   artifacts under that directory and re-runs only compute the delta;
+///   otherwise the cache is in-memory (still deduplicates within one
+///   process).
+/// * `HPCGRID_SWEEP_ARTIFACT_FORMAT` — the artifact encoding: `binary`
+///   (compact and checksummed, the default) or `json`.
+/// * `HPCGRID_FAILPOINTS` — fault injection, parsed fresh for every runner
+///   so its triggers count that runner's hits only.
 pub fn experiment_runner<R>() -> SweepRunner<R>
 where
     R: Clone + Send + serde::Serialize + serde::Deserialize,
 {
-    match std::env::var("HPCGRID_SWEEP_CACHE") {
-        Ok(dir) if !dir.is_empty() => {
-            SweepRunner::with_artifact_dir(dir).expect("HPCGRID_SWEEP_CACHE directory is creatable")
-        }
+    let format = edge("HPCGRID_SWEEP_ARTIFACT_FORMAT", parse_artifact_format);
+    let runner = match std::env::var("HPCGRID_SWEEP_CACHE") {
+        Ok(dir) if !dir.is_empty() => SweepRunner::with_artifact_dir_and_format(dir, format)
+            .expect("HPCGRID_SWEEP_CACHE directory is creatable"),
         _ => SweepRunner::new(),
-    }
+    };
+    runner.chaos(edge("HPCGRID_FAILPOINTS", parse_failpoints))
 }
 
 /// Register a compiled kernel in a [`SharedInputs`] registry under the
@@ -269,9 +342,41 @@ mod tests {
         let spec = experiment_spec("demo", 1).build();
         assert_eq!(
             spec.precision(),
-            Some(Precision::from_env().label()),
+            Some(precision().label()),
             "specs must pin the precision their results were billed at"
         );
+    }
+
+    #[test]
+    fn precision_edge_value_parses_or_errors() {
+        assert_eq!(parse_precision(None), Ok(Precision::BitExact));
+        assert_eq!(parse_precision(Some("fast")), Ok(Precision::Fast));
+        assert_eq!(parse_precision(Some("bit_exact")), Ok(Precision::BitExact));
+        let err = parse_precision(Some("turbo")).unwrap_err();
+        assert!(err.contains("turbo"), "{err}");
+    }
+
+    #[test]
+    fn artifact_format_edge_value_parses_or_errors() {
+        assert_eq!(parse_artifact_format(None), Ok(ArtifactFormat::Binary));
+        assert_eq!(
+            parse_artifact_format(Some("binary")),
+            Ok(ArtifactFormat::Binary)
+        );
+        assert_eq!(
+            parse_artifact_format(Some("json")),
+            Ok(ArtifactFormat::Json)
+        );
+        let err = parse_artifact_format(Some("yaml")).unwrap_err();
+        assert!(err.contains("yaml"), "{err}");
+    }
+
+    #[test]
+    fn failpoints_edge_value_parses_or_errors() {
+        assert!(parse_failpoints(None).unwrap().is_empty());
+        let set = parse_failpoints(Some("engine.scenario.panic=panic@nth:1")).unwrap();
+        assert!(set.fire("engine.scenario.panic").is_some());
+        assert!(parse_failpoints(Some("engine.scenario.panic=explode")).is_err());
     }
 
     #[test]

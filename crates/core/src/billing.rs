@@ -147,27 +147,11 @@ pub enum Precision {
 }
 
 impl Precision {
-    /// Environment variable consulted by [`Precision::from_env`]
-    /// (`HPCGRID_PRECISION=fast` forces the fast path process-wide; the CI
-    /// tolerance-regression leg sets it across the core test suite).
-    pub const ENV_VAR: &'static str = "HPCGRID_PRECISION";
-
-    /// Stable label used in scenario specs, bench JSON, and the env override.
+    /// Stable label used in scenario specs and bench JSON.
     pub fn label(self) -> &'static str {
         match self {
             Precision::BitExact => "bit_exact",
             Precision::Fast => "fast",
-        }
-    }
-
-    /// The precision selected by [`Precision::ENV_VAR`], defaulting to
-    /// [`Precision::BitExact`] when the variable is unset or does not parse
-    /// (billing must never fail on a misspelled override; the safe default
-    /// is the exact path).
-    pub fn from_env() -> Precision {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(v) => v.parse().unwrap_or_default(),
-            Err(_) => Precision::BitExact,
         }
     }
 }
@@ -200,18 +184,15 @@ pub struct BillingEngine {
 }
 
 impl BillingEngine {
-    /// An engine billing under `calendar`, at the precision selected by the
-    /// `HPCGRID_PRECISION` environment variable ([`Precision::BitExact`]
-    /// when unset).
+    /// An engine billing under `calendar` at [`Precision::BitExact`].
     pub fn new(calendar: Calendar) -> BillingEngine {
         BillingEngine {
             calendar,
-            precision: Precision::from_env(),
+            precision: Precision::BitExact,
         }
     }
 
-    /// The same engine with an explicit [`Precision`], overriding the env
-    /// default.
+    /// The same engine at an explicit [`Precision`].
     pub fn with_precision(mut self, precision: Precision) -> BillingEngine {
         self.precision = precision;
         self

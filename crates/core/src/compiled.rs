@@ -573,13 +573,15 @@ pub struct CompiledContract {
     pub(crate) powerband: Option<Powerband>,
     pub(crate) emergency: Option<EmergencyDrClause>,
     pub(crate) monthly_fee: Money,
-    /// Numerical fidelity of evaluation (see [`Precision`]); defaults to
-    /// the `HPCGRID_PRECISION` env selection at compile time.
+    /// Numerical fidelity of evaluation (see [`Precision`]);
+    /// [`Precision::BitExact`] unless set by [`CompiledContract::with_precision`].
     precision: Precision,
 }
 
 impl CompiledContract {
-    /// Lower `contract` under `calendar` for loads inside `[start, end)`.
+    /// Lower `contract` under `calendar` for loads inside `[start, end)`,
+    /// billing at [`Precision::BitExact`] (see
+    /// [`CompiledContract::with_precision`]).
     ///
     /// Component parameters are validated here, once, instead of on every
     /// bill. Errors if the horizon is empty.
@@ -626,7 +628,7 @@ impl CompiledContract {
             powerband: contract.powerband,
             emergency: contract.emergency,
             monthly_fee: contract.monthly_fee,
-            precision: Precision::from_env(),
+            precision: Precision::BitExact,
         })
     }
 

@@ -3,18 +3,15 @@
 //! A [`MeterFleet`] manages many [`BillAccrual`] meters at once, sharded by
 //! contract fingerprint so every meter under the same contract shares one
 //! `Arc`'d [`CompiledContract`] kernel — and with it the kernel's reusable
-//! segment-map cache. Ticks scatter the batch of samples to their shards
-//! and fan the shards across the `try_par_map` worker pool; each shard is
-//! owned by exactly one task per tick, so the per-shard locks never
-//! contend.
+//! segment-map cache. Every advance resolves its samples to shards through
+//! a scatter plan and fans the shards across the `try_par_map` worker pool;
+//! each shard is owned by exactly one task per advance, so the per-shard
+//! locks never contend.
 //!
 //! # Hot-path data layout
 //!
-//! The ingest path comes in three shapes, fastest last:
+//! Ingest comes in two shapes, plus an adapter:
 //!
-//! * [`MeterFleet::advance_tick`] — one tick of AoS [`Sample`]s. Samples
-//!   are scattered to per-shard buffers (pre-reserved at bucket size) and
-//!   folded one `push_next` per sample.
 //! * [`MeterFleet::advance_frame`] — one tick as a columnar [`TickFrame`]
 //!   (SoA: a shared meter-id lane plus a contiguous power lane). The fleet
 //!   resolves directory lookups, quarantine membership, and shard
@@ -27,6 +24,8 @@
 //!   folded by a single [`BillAccrual::push_run`] call — segment cursors
 //!   stay hot across the whole window and `catch_unwind` is paid once per
 //!   meter-window instead of once per sample.
+//! * [`MeterFleet::advance_tick`] — one tick of AoS [`Sample`]s, transposed
+//!   by [`TickFrame::from_samples`] and advanced as a frame.
 //!
 //! The scatter plan is reused while the population is stable and
 //! invalidated by anything that moves meters or changes quarantine
@@ -38,8 +37,8 @@
 //! of that meter's sample history under `Precision::BitExact`, regardless
 //! of shard count, tick batching, or whether the samples arrived as AoS
 //! ticks, frames, or fused windows. The shard count (default: available
-//! parallelism, override with [`MeterFleet::with_shards`] or the
-//! `HPCGRID_FLEET_SHARDS` env var) is therefore pure deployment tuning.
+//! parallelism; set it with [`MeterFleet::with_shards`]) is therefore pure
+//! deployment tuning.
 
 use crate::accrual::{AccrualSnapshot, BillAccrual};
 use crate::billing::Bill;
@@ -56,9 +55,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Environment variable overriding the fleet's shards-per-contract count.
-pub const ENV_SHARDS: &str = "HPCGRID_FLEET_SHARDS";
 
 /// Opaque handle to a registered meter. Returned by
 /// [`MeterFleet::register`] and stable for the fleet's lifetime (meters
@@ -211,19 +207,10 @@ struct Shard {
     /// `CompiledContract::fingerprint().0` of the shard's kernel.
     fingerprint: u64,
     kernel: Arc<CompiledContract>,
-    /// Meters plus the tick's scatter buffer. Locked once per tick per
-    /// worker; `advance_tick` holds `&mut self`, so scatter uses the
-    /// lock-free `get_mut` path.
-    state: Mutex<ShardState>,
-}
-
-struct ShardState {
     /// `(meter id, accrual)` — slot positions are tracked in the fleet
-    /// directory and patched up on `swap_remove`.
-    meters: Vec<(MeterId, BillAccrual)>,
-    /// `(slot, power)` pairs scattered for the in-flight tick. Kept
-    /// per-shard so its capacity is reused across ticks.
-    buf: Vec<(usize, Power)>,
+    /// directory and patched up on `swap_remove`. Locked once per advance
+    /// per worker; `&mut self` paths use the lock-free `get_mut`.
+    meters: ShardMeters,
 }
 
 /// What one fleet advance (tick, frame, or window) did with its samples.
@@ -274,9 +261,10 @@ pub struct FleetStats {
     pub kernel_hits: u64,
     /// Registrations and delta moves that had to compile a kernel.
     pub kernel_misses: u64,
-    /// Frame/window advances that reused the cached scatter plan.
+    /// Advances (ticks, frames and windows) that reused the cached scatter
+    /// plan.
     pub plan_hits: u64,
-    /// Scatter plan builds (first frame, population changes, new frame
+    /// Scatter plan builds (first advance, population changes, new frame
     /// shapes).
     pub plan_builds: u64,
     /// Mean accrual state size per meter, in bytes (excludes the shared
@@ -303,8 +291,7 @@ impl FleetStats {
         }
     }
 
-    /// Fraction of frame/window advances served by the cached scatter
-    /// plan.
+    /// Fraction of advances served by the cached scatter plan.
     pub fn plan_reuse_rate(&self) -> f64 {
         let total = self.plan_hits + self.plan_builds;
         if total == 0 {
@@ -382,14 +369,10 @@ pub struct MeterFleet {
 
 impl MeterFleet {
     /// An empty fleet billing under `calendar` for loads inside
-    /// `[start, end)`, with the default shard count: `HPCGRID_FLEET_SHARDS`
-    /// if set, otherwise the machine's available parallelism.
+    /// `[start, end)`, with one shard per contract for each unit of the
+    /// machine's available parallelism.
     pub fn new(calendar: Calendar, start: SimTime, end: SimTime) -> MeterFleet {
-        let shards = std::env::var(ENV_SHARDS)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|n| *n >= 1)
-            .unwrap_or_else(|| hpcgrid_timeseries::par::default_threads(usize::MAX));
+        let shards = hpcgrid_timeseries::par::default_threads(usize::MAX);
         MeterFleet::with_shards(calendar, start, end, shards)
     }
 
@@ -507,10 +490,7 @@ impl MeterFleet {
             self.shards.push(Shard {
                 fingerprint: fp,
                 kernel,
-                state: Mutex::new(ShardState {
-                    meters: Vec::new(),
-                    buf: Vec::new(),
-                }),
+                meters: Mutex::new(Vec::new()),
             });
             list.push(idx);
             idx
@@ -520,93 +500,40 @@ impl MeterFleet {
             *rr += 1;
             idx
         };
-        let meters = &mut lock_mut(&mut self.shards[shard].state).meters;
+        let meters = lock_mut(&mut self.shards[shard].meters);
         meters.push((id, accrual));
         (shard, meters.len() - 1)
     }
 
-    /// Reserve each shard's scatter buffer at its expected bucket size —
-    /// the cached plan's bucket counts when the plan is current, the
-    /// shard's population otherwise — so the first tick lands in one
-    /// allocation instead of doubling up from empty. Capacity persists
-    /// across ticks (`buf.clear()` keeps it), so this is a no-op after
-    /// the first reservation.
-    fn reserve_shard_bufs(&mut self) {
-        let plan_counts: Option<Vec<usize>> = self
-            .plan
-            .as_ref()
-            .filter(|p| p.version == self.pop_version)
-            .map(|p| p.offsets.windows(2).map(|w| w[1] - w[0]).collect());
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let st = lock_mut(&mut shard.state);
-            let want = match &plan_counts {
-                Some(counts) => counts[s],
-                None => st.meters.len(),
-            };
-            if st.buf.capacity() < want {
-                let additional = want - st.buf.len();
-                st.buf.reserve_exact(additional);
-            }
-        }
+    /// Advance the fleet by one tick of AoS samples:
+    /// [`TickFrame::from_samples`], then [`MeterFleet::advance_frame`].
+    /// Each call transposes into a fresh id lane, so reusing the cached
+    /// plan costs a lane compare; drivers that publish frames sharing one
+    /// `Arc`'d id lane skip even that.
+    pub fn advance_tick(&mut self, samples: &[Sample]) -> Result<FleetTickReport> {
+        self.advance_frame(&TickFrame::from_samples(samples))
     }
 
-    /// Advance the fleet by one tick: scatter `samples` to their shards,
-    /// then fold every shard's batch in parallel. A meter absent from
-    /// `samples` simply lags — its accrual keeps its own clock. Samples
-    /// for the same meter fold in slice order.
+    /// Advance the fleet by one columnar [`TickFrame`]: resolve the frame
+    /// against the population through the cached `ScatterPlan`, then fold
+    /// every shard's bucket in parallel. On the steady state (same id
+    /// lane, unchanged population) no directory or quarantine probes
+    /// happen at all, and shard workers pull the power lane directly
+    /// through the plan's prefix-sum buckets. A meter absent from the
+    /// frame simply lags — its accrual keeps its own clock. Samples for the
+    /// same meter fold in frame order.
+    ///
+    /// The plan resolves the whole id lane before anything folds, so a
+    /// frame naming an unknown meter errors without applying any sample.
     ///
     /// The fleet degrades instead of dying: a fold that *panics* (a
     /// poisoned accrual, an injected fault) quarantines that one meter —
     /// its sample and the rest of its batch are dropped, every other meter
     /// folds normally, and the casualty is reported in
-    /// [`FleetTickReport::newly_quarantined`]. Subsequent ticks drop the
-    /// quarantined meter's samples at scatter time until
+    /// [`FleetTickReport::newly_quarantined`]. Subsequent advances drop the
+    /// quarantined meter's samples through the rebuilt plan until
     /// [`MeterFleet::restore`] rehabilitates it from a known-good snapshot.
-    /// Typed errors (grid misuse, horizon overrun) still fail the tick.
-    pub fn advance_tick(&mut self, samples: &[Sample]) -> Result<FleetTickReport> {
-        let t0 = Instant::now();
-        let mut report = FleetTickReport {
-            samples: samples.len(),
-            ..FleetTickReport::default()
-        };
-        self.reserve_shard_bufs();
-        let check_quarantine = !self.quarantined.is_empty();
-        for s in samples {
-            let (shard, slot) = *self
-                .directory
-                .get(s.meter.0)
-                .ok_or_else(|| CoreError::BadSeries(format!("unknown {}", s.meter)))?;
-            if check_quarantine && self.quarantined.contains_key(&s.meter.0) {
-                report.dropped += 1;
-                continue;
-            }
-            lock_mut(&mut self.shards[shard].state)
-                .buf
-                .push((slot, s.power));
-        }
-        let worked = try_par_map(&self.shards, |shard| -> Result<ShardOutcome> {
-            let state = &mut *lock(&shard.state);
-            // Split-borrow meters and buf out of the guard.
-            let ShardState { meters, buf } = state;
-            let out = fold_shard(meters, buf.iter().copied());
-            buf.clear();
-            out
-        })
-        .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
-        self.absorb_outcomes(&mut report, worked)?;
-        self.ticks += 1;
-        self.samples += report.applied as u64;
-        self.tick_nanos += t0.elapsed().as_nanos();
-        Ok(report)
-    }
-
-    /// Advance the fleet by one columnar [`TickFrame`] — semantically
-    /// identical to [`MeterFleet::advance_tick`] over the equivalent AoS
-    /// batch (bills bit-identical, same degradation rules), but the
-    /// scatter resolves through the cached `ScatterPlan`: on the steady
-    /// state (same id lane, unchanged population) no directory or
-    /// quarantine probes happen at all, and shard workers pull the power
-    /// lane directly through the plan's prefix-sum buckets.
+    /// Typed errors (grid misuse, horizon overrun) still fail the advance.
     pub fn advance_frame(&mut self, frame: &TickFrame) -> Result<FleetTickReport> {
         let t0 = Instant::now();
         self.ensure_plan(&frame.meters)?;
@@ -623,10 +550,10 @@ impl MeterFleet {
             let shards = &self.shards;
             let shard_ids: Vec<usize> = (0..shards.len()).collect();
             worked = try_par_map(&shard_ids, |&s| -> Result<ShardOutcome> {
-                let state = &mut *lock(&shards[s].state);
+                let meters = &mut *lock(&shards[s].meters);
                 let (lo, hi) = (plan.offsets[s], plan.offsets[s + 1]);
                 fold_shard(
-                    &mut state.meters,
+                    meters,
                     plan.slots[lo..hi]
                         .iter()
                         .zip(&plan.positions[lo..hi])
@@ -699,8 +626,7 @@ impl MeterFleet {
             let shards = &self.shards;
             let shard_ids: Vec<usize> = (0..shards.len()).collect();
             worked = try_par_map(&shard_ids, |&s| -> Result<ShardOutcome> {
-                let state = &mut *lock(&shards[s].state);
-                let meters = &mut state.meters;
+                let meters = &mut *lock(&shards[s].meters);
                 let mut run: Vec<Power> = Vec::with_capacity(w);
                 let mut applied = 0usize;
                 let mut dropped = 0usize;
@@ -857,7 +783,7 @@ impl MeterFleet {
     pub fn finalize(&self, meter: MeterId) -> Result<Bill> {
         self.check_quarantine(meter)?;
         let (shard, slot) = self.locate(meter)?;
-        lock(&self.shards[shard].state).meters[slot].1.finalize()
+        lock(&self.shards[shard].meters)[slot].1.finalize()
     }
 
     /// Close the books of every *healthy* meter, in parallel, returned in
@@ -866,9 +792,7 @@ impl MeterFleet {
     pub fn finalize_all(&self) -> Result<Vec<(MeterId, Bill)>> {
         let quarantined = &self.quarantined;
         let per_shard = try_par_map(&self.shards, |shard| -> Result<Vec<(MeterId, Bill)>> {
-            let state = lock(&shard.state);
-            state
-                .meters
+            lock(&shard.meters)
                 .iter()
                 .filter(|(id, _)| !quarantined.contains_key(&id.0))
                 .map(|(id, acc)| acc.finalize().map(|b| (*id, b)))
@@ -890,7 +814,7 @@ impl MeterFleet {
     pub fn snapshot(&self, meter: MeterId) -> Result<AccrualSnapshot> {
         self.check_quarantine(meter)?;
         let (shard, slot) = self.locate(meter)?;
-        Ok(lock(&self.shards[shard].state).meters[slot].1.snapshot())
+        Ok(lock(&self.shards[shard].meters)[slot].1.snapshot())
     }
 
     /// Snapshot every healthy meter in meter-id order — the payload of a
@@ -901,7 +825,7 @@ impl MeterFleet {
             .filter(|id| !self.quarantined.contains_key(id))
             .map(|id| {
                 let (shard, slot) = self.directory[id];
-                let snap = lock(&self.shards[shard].state).meters[slot].1.snapshot();
+                let snap = lock(&self.shards[shard].meters)[slot].1.snapshot();
                 (id as u64, snap)
             })
             .collect()
@@ -916,7 +840,7 @@ impl MeterFleet {
         let (shard, slot) = self.locate(meter)?;
         let kernel = Arc::clone(&self.shards[shard].kernel);
         let restored = BillAccrual::restore(kernel, snap)?;
-        lock_mut(&mut self.shards[shard].state).meters[slot].1 = restored;
+        lock_mut(&mut self.shards[shard].meters)[slot].1 = restored;
         if self.quarantined.remove(&meter.0).is_some() {
             // Rehabilitation re-admits the meter to scatter plans.
             self.pop_version += 1;
@@ -958,7 +882,7 @@ impl MeterFleet {
     #[doc(hidden)]
     pub fn chaos_poison_meter(&mut self, meter: MeterId) -> Result<()> {
         let (shard, slot) = self.locate(meter)?;
-        lock_mut(&mut self.shards[shard].state).meters[slot]
+        lock_mut(&mut self.shards[shard].meters)[slot]
             .1
             .poison_next_push();
         Ok(())
@@ -987,17 +911,14 @@ impl MeterFleet {
         let kernel = self.kernels.get_or_insert(Arc::new(patched))?;
         // Rebind first: if the delta is not accrual-preserving this fails
         // and the meter stays where it is.
-        let mut accrual = {
-            let state = lock_mut(&mut self.shards[shard].state);
-            state.meters[slot].1.clone()
-        };
+        let mut accrual = lock_mut(&mut self.shards[shard].meters)[slot].1.clone();
         accrual.rebind(Arc::clone(&kernel))?;
         // Remove from the old shard, patching the directory entry of
         // whichever meter swap_remove moved into the vacated slot.
         {
-            let state = lock_mut(&mut self.shards[shard].state);
-            state.meters.swap_remove(slot);
-            if let Some((moved_id, _)) = state.meters.get(slot) {
+            let meters = lock_mut(&mut self.shards[shard].meters);
+            meters.swap_remove(slot);
+            if let Some((moved_id, _)) = meters.get(slot) {
                 self.directory[moved_id.0] = (shard, slot);
             }
         }
@@ -1037,9 +958,7 @@ impl MeterFleet {
     pub fn stats(&self) -> FleetStats {
         let mut bytes: usize = 0;
         for shard in &self.shards {
-            let state = lock(&shard.state);
-            bytes += state
-                .meters
+            bytes += lock(&shard.meters)
                 .iter()
                 .map(|(_, acc)| acc.approx_bytes())
                 .sum::<usize>();
@@ -1127,16 +1046,20 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> Arc<str> {
     }
 }
 
-/// Lock a shard from a shared borrow (the parallel tick path). Poisoning
+/// A shard's `(meter id, accrual)` list behind its lock.
+type ShardMeters = Mutex<Vec<(MeterId, BillAccrual)>>;
+
+/// Lock a shard from a shared borrow (the parallel advance path). Poisoning
 /// cannot leave half-applied state — a panicking task dies before its
-/// `advance_tick` result is observed — so poisoned locks are recovered.
-fn lock(state: &Mutex<ShardState>) -> std::sync::MutexGuard<'_, ShardState> {
-    state.lock().unwrap_or_else(|p| p.into_inner())
+/// advance result is observed — so poisoned locks are recovered.
+fn lock(meters: &ShardMeters) -> std::sync::MutexGuard<'_, Vec<(MeterId, BillAccrual)>> {
+    meters.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Lock a shard through `&mut` (registration/scatter): no locking at all.
-fn lock_mut(state: &mut Mutex<ShardState>) -> &mut ShardState {
-    match state.get_mut() {
+/// Lock a shard through `&mut` (registration, restore, deltas): no locking
+/// at all.
+fn lock_mut(meters: &mut ShardMeters) -> &mut Vec<(MeterId, BillAccrual)> {
+    match meters.get_mut() {
         Ok(s) => s,
         Err(p) => p.into_inner(),
     }

@@ -155,10 +155,9 @@ fn mw(meter: usize, tick: u64) -> Power {
 }
 
 /// A fleet of `n` meters round-robined over the two contract shapes.
-/// Kernels are pinned to `BitExact` (bypassing any `HPCGRID_PRECISION`
-/// override) — this file's fused-vs-scalar claims are bit-identity
-/// statements, which only `BitExact` makes; the `Fast` tolerance row has
-/// its own dedicated property below.
+/// Kernels are pinned to `BitExact` explicitly — this file's fused-vs-scalar
+/// claims are bit-identity statements, which only `BitExact` makes; the
+/// `Fast` tolerance row has its own dedicated property below.
 fn fleet_of(n: usize, shards: usize) -> (MeterFleet, Vec<MeterId>) {
     let mut fleet = MeterFleet::with_shards(
         Calendar::default(),
@@ -474,9 +473,9 @@ fn duplicate_meters_in_frame_degrade_without_divergence() {
 }
 
 /// Frame construction and plan resolution reject malformed input with
-/// typed errors: mismatched lanes, unknown meters, and a run past the
-/// horizon applies the fitting prefix before erroring (per-sample error
-/// equivalence).
+/// typed errors: mismatched lanes, unknown meters (a rejected tick applies
+/// none of its samples), and a run past the horizon applies the fitting
+/// prefix before erroring (per-sample error equivalence).
 #[test]
 fn malformed_frames_and_horizon_overruns_error_like_per_sample() {
     let (mut fleet, ids) = fleet_of(2, 1);
@@ -485,6 +484,23 @@ fn malformed_frames_and_horizon_overruns_error_like_per_sample() {
     let stranger: Arc<[MeterId]> = vec![MeterId(99)].into();
     let frame = TickFrame::new(stranger, vec![Power::from_megawatts(1.0)]).unwrap();
     assert!(fleet.advance_frame(&frame).is_err());
+
+    // A tick naming an unknown meter after a known one is rejected whole:
+    // the next tick applies exactly its own samples, and the books match a
+    // fleet that never saw the rejected tick.
+    let sample = |meter: MeterId| Sample {
+        meter,
+        power: Power::from_megawatts(5.0),
+    };
+    assert!(fleet
+        .advance_tick(&[sample(ids[0]), sample(MeterId(99))])
+        .is_err());
+    let tick = [sample(ids[0]), sample(ids[1])];
+    let report = fleet.advance_tick(&tick).unwrap();
+    assert_eq!((report.samples, report.applied), (2, 2));
+    let (mut clean, _) = fleet_of(2, 1);
+    clean.advance_tick(&tick).unwrap();
+    assert_eq!(fleet.finalize_all().unwrap(), clean.finalize_all().unwrap());
 
     // push_run past the horizon: the fitting prefix applies, then the
     // exact error push_next would have returned for the first overrun.

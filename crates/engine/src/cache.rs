@@ -21,8 +21,8 @@
 //! * **JSON serde per hit.** The default artifact format is the compact
 //!   checksummed binary codec in [`crate::binary`] (version byte +
 //!   content-hash header + CRC32). JSON remains available for debugging via
-//!   [`ArtifactFormat::Json`] or `HPCGRID_SWEEP_ARTIFACT_FORMAT=json`; both
-//!   formats decode to bit-identical results and can coexist in one
+//!   [`ArtifactFormat::Json`] and [`ResultCache::with_artifact_dir_and_format`];
+//!   both formats decode to bit-identical results and can coexist in one
 //!   directory.
 //!
 //! Every artifact embeds its own `spec_hash`, so the cache can verify an
@@ -61,22 +61,11 @@ pub enum ArtifactFormat {
     #[default]
     Binary,
     /// Pretty-printed JSON under sharded `xx/yy/<hash>.json` paths. Larger
-    /// and slower, but human-readable — keep it for debugging via
-    /// `HPCGRID_SWEEP_ARTIFACT_FORMAT=json`.
+    /// and slower, but human-readable — keep it for debugging.
     Json,
 }
 
 impl ArtifactFormat {
-    /// The format selected by `HPCGRID_SWEEP_ARTIFACT_FORMAT` (`binary` or
-    /// `json`, case-insensitive); anything else — including unset — is
-    /// [`ArtifactFormat::Binary`].
-    pub fn from_env() -> ArtifactFormat {
-        match std::env::var("HPCGRID_SWEEP_ARTIFACT_FORMAT") {
-            Ok(v) if v.eq_ignore_ascii_case("json") => ArtifactFormat::Json,
-            _ => ArtifactFormat::Binary,
-        }
-    }
-
     /// Stable label (`"binary"` / `"json"`).
     pub fn label(self) -> &'static str {
         match self {
@@ -161,7 +150,7 @@ impl<R> Default for ResultCache<R> {
             shards_ready: HashSet::new(),
             probes: ProbeStats::default(),
             reclaimed_tmp: 0,
-            chaos: chaos::env_failpoints(),
+            chaos: Arc::new(FailpointSet::empty()),
         }
     }
 }
@@ -172,8 +161,8 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         Self::default()
     }
 
-    /// Cache backed by an artifact directory, in the format selected by
-    /// `HPCGRID_SWEEP_ARTIFACT_FORMAT` (binary unless overridden).
+    /// Cache backed by an artifact directory, writing
+    /// [`ArtifactFormat::Binary`].
     ///
     /// The directory is *not* created here — creation is deferred to the
     /// first [`ResultCache::put`], so a fully memory-served sweep leaves no
@@ -181,11 +170,10 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
     /// directory exists, one walk indexes every artifact in it (sharded
     /// binary and JSON).
     pub fn with_artifact_dir(dir: impl Into<PathBuf>) -> Result<Self, EngineError> {
-        Self::with_artifact_dir_and_format(dir, ArtifactFormat::from_env())
+        Self::with_artifact_dir_and_format(dir, ArtifactFormat::Binary)
     }
 
-    /// [`ResultCache::with_artifact_dir`] with an explicit write format,
-    /// ignoring the environment.
+    /// [`ResultCache::with_artifact_dir`] with an explicit write format.
     ///
     /// The opening walk also garbage-collects stale `*.tmp.<pid>` files
     /// left by the write-then-rename path of processes that died mid-put
@@ -204,7 +192,7 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
             shards_ready: HashSet::new(),
             probes: ProbeStats::default(),
             reclaimed_tmp,
-            chaos: chaos::env_failpoints(),
+            chaos: Arc::new(FailpointSet::empty()),
         })
     }
 
@@ -217,8 +205,8 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         self.reclaimed_tmp
     }
 
-    /// Arm an explicit failpoint set for this cache's artifact I/O;
-    /// constructors default to the `HPCGRID_FAILPOINTS` environment set.
+    /// Arm a failpoint set for this cache's artifact I/O; every cache
+    /// starts with its own empty set.
     pub fn set_chaos(&mut self, set: Arc<FailpointSet>) {
         self.chaos = set;
     }

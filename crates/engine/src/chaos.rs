@@ -5,22 +5,22 @@
 //! healthy test environment. This module gives the engine named injection
 //! sites — artifact read/write I/O errors, torn writes, scenario panics,
 //! stalls, and simulated process crashes — that fire deterministically from
-//! a seeded trigger, so a chaos test reproduces bit-for-bit and a CI leg can
-//! run the whole suite under latency injection.
+//! a seeded trigger, so a chaos test reproduces bit-for-bit.
 //!
-//! Failpoints are **opt-in and inert by default**: an empty
-//! [`FailpointSet`] answers every [`FailpointSet::fire`] with `None` through
-//! an is-empty fast path, so production sweeps pay one branch per site.
-//! Activation comes from either:
-//!
-//! * the `HPCGRID_FAILPOINTS` environment variable (picked up by every
-//!   [`crate::SweepRunner`] / [`crate::ResultCache`] constructor via
-//!   [`env_failpoints`]), or
-//! * an explicit set handed to [`crate::SweepRunner::chaos`] by a test.
+//! Failpoints are **opt-in and inert by default**: every
+//! [`crate::SweepRunner`] and [`crate::ResultCache`] starts with its own
+//! empty [`FailpointSet`], which answers every [`FailpointSet::fire`] with
+//! `None` through an is-empty fast path, so production sweeps pay one
+//! branch per site. A set parsed with [`FailpointSet::parse`] is armed on
+//! one runner by [`crate::SweepRunner::chaos`] (or on one cache by
+//! [`crate::ResultCache::set_chaos`]); its hit ordinals count that runner's
+//! hits only, so triggers reproduce per runner. Binaries that expose fault
+//! injection read the configuration string at their own edge (the
+//! experiment binaries read `HPCGRID_FAILPOINTS`).
 //!
 //! # Configuration grammar
 //!
-//! `HPCGRID_FAILPOINTS` is a `;`-separated list of clauses:
+//! A configuration is a `;`-separated list of clauses:
 //!
 //! ```text
 //! <site>=<action>[@<trigger>]
@@ -33,11 +33,10 @@
 //! scenario executions for 2 ms, chosen by a seeded hash of the site's hit
 //! ordinal — deterministic for a fixed sequence of hits. The sites the
 //! engine defines live in [`sites`]; unknown site names are accepted (they
-//! simply never fire), so one variable can configure several binaries.
+//! simply never fire), so one string can configure several binaries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Failpoint site names compiled into the engine.
@@ -154,22 +153,6 @@ impl FailpointSet {
         Ok(FailpointSet { points })
     }
 
-    /// The set configured by `HPCGRID_FAILPOINTS`; empty when unset. A
-    /// malformed value is reported to stderr and treated as empty rather
-    /// than silently arming partial faults.
-    pub fn from_env() -> FailpointSet {
-        match std::env::var("HPCGRID_FAILPOINTS") {
-            Ok(config) if !config.trim().is_empty() => match FailpointSet::parse(&config) {
-                Ok(set) => set,
-                Err(e) => {
-                    eprintln!("hpcgrid-engine: ignoring HPCGRID_FAILPOINTS: {e}");
-                    FailpointSet::empty()
-                }
-            },
-            _ => FailpointSet::empty(),
-        }
-    }
-
     /// Register a hit at `site` and return the action to apply if the
     /// site's trigger fires. The inert-set fast path is a single branch.
     pub fn fire(&self, site: &str) -> Option<FaultAction> {
@@ -194,13 +177,6 @@ impl FailpointSet {
             .map(|p| p.hits.load(Ordering::Relaxed))
             .unwrap_or(0)
     }
-}
-
-/// The process-wide failpoint set parsed once from `HPCGRID_FAILPOINTS` —
-/// what runner and cache constructors default to.
-pub fn env_failpoints() -> Arc<FailpointSet> {
-    static SET: OnceLock<Arc<FailpointSet>> = OnceLock::new();
-    Arc::clone(SET.get_or_init(|| Arc::new(FailpointSet::from_env())))
 }
 
 /// Apply a fired fault at an I/O site: stalls sleep in place (no error),

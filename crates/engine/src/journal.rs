@@ -30,7 +30,9 @@
 //!   scenario re-executes on resume (never a wrong fold).
 //! * Replay stops at the first torn or corrupt frame and discards the tail
 //!   ([`JournalReplay::torn`]): a partial final write from a killed process
-//!   shortens the journal, it never corrupts the resume.
+//!   shortens the journal, it never corrupts the resume. Reopening for
+//!   append cuts that tail off first, so records appended by a resume
+//!   follow the last valid frame and a later replay reads them.
 //! * The header binds the journal to a sweep fingerprint
 //!   ([`sweep_fingerprint`]: an order-insensitive multiset hash of the spec
 //!   hashes), so resuming against a different spec list is a typed
@@ -42,7 +44,7 @@ use crate::error::EngineError;
 use crate::hash::ContentHash;
 use crate::spec::ScenarioSpec;
 use serde::Value;
-use std::io::Write;
+use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -122,14 +124,30 @@ impl RunJournal {
     }
 
     /// Reopen an existing journal for appending, continuing after `done`
-    /// already-journaled records (from [`RunJournal::replay`]).
+    /// already-journaled records (from [`RunJournal::replay`]). A torn tail
+    /// is truncated away before the first append.
     pub fn open_append(
         path: impl Into<PathBuf>,
         done: usize,
         chaos: Arc<FailpointSet>,
     ) -> Result<RunJournal, EngineError> {
         let path = path.into();
-        let file = std::fs::OpenOptions::new().append(true).open(&path)?;
+        let valid_len = RunJournal::replay(&path)?.valid_len;
+        RunJournal::reopen(path, done, valid_len, chaos)
+    }
+
+    /// [`RunJournal::open_append`] for a caller that has already replayed
+    /// the journal: truncate it to `valid_len` bytes (the end of its last
+    /// valid frame), then append after `done` journaled records.
+    pub(crate) fn reopen(
+        path: PathBuf,
+        done: usize,
+        valid_len: u64,
+        chaos: Arc<FailpointSet>,
+    ) -> Result<RunJournal, EngineError> {
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path)?;
+        file.set_len(valid_len)?;
+        file.seek(std::io::SeekFrom::End(0))?;
         Ok(RunJournal {
             out: std::io::BufWriter::new(file),
             path,
@@ -303,6 +321,7 @@ impl RunJournal {
             entries,
             checkpoint,
             torn,
+            valid_len: offset as u64,
         })
     }
 }
@@ -361,6 +380,9 @@ pub struct JournalReplay {
     pub checkpoint: Option<(usize, Value)>,
     /// True if a torn or corrupt tail was discarded during replay.
     pub torn: bool,
+    /// Byte length up to the end of the last valid frame — where a resume
+    /// truncates the journal before appending.
+    pub(crate) valid_len: u64,
 }
 
 impl JournalReplay {

@@ -29,9 +29,10 @@
 //!   crash-safe fold: an append-only CRC-framed [`RunJournal`] records every
 //!   completion and periodically checkpoints the accumulator, so a killed
 //!   sweep resumes with zero re-execution of journaled scenarios.
-//! * [`chaos`] — deterministic fault injection (`HPCGRID_FAILPOINTS`):
-//!   named, seeded failpoints for artifact I/O errors, torn writes, scenario
-//!   panics/stalls, and simulated crashes, inert unless armed.
+//! * [`chaos`] — deterministic fault injection: named, seeded failpoints
+//!   for artifact I/O errors, torn writes, scenario panics/stalls, and
+//!   simulated crashes, inert unless armed on a runner with
+//!   [`SweepRunner::chaos`].
 //! * [`SweepConfig::deadline`] — a per-scenario time budget enforced by a
 //!   watchdog; over-budget scenarios surface as
 //!   [`ScenarioError::TimedOut`] instead of wedging a worker.

@@ -199,14 +199,14 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         Self::with_cache(ResultCache::in_memory())
     }
 
-    /// Runner whose cache persists artifacts under `dir` (binary by
-    /// default; `HPCGRID_SWEEP_ARTIFACT_FORMAT=json` keeps JSON).
+    /// Runner whose cache persists [`ArtifactFormat::Binary`] artifacts
+    /// under `dir`.
     pub fn with_artifact_dir(dir: impl Into<std::path::PathBuf>) -> Result<Self, EngineError> {
         ResultCache::with_artifact_dir(dir).map(Self::with_cache)
     }
 
     /// Runner whose cache persists artifacts under `dir` in an explicit
-    /// format, ignoring the environment.
+    /// format.
     pub fn with_artifact_dir_and_format(
         dir: impl Into<std::path::PathBuf>,
         format: ArtifactFormat,
@@ -219,7 +219,7 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
             cache,
             config: SweepConfig::default(),
             shared: Arc::new(SharedInputs::new()),
-            chaos: chaos::env_failpoints(),
+            chaos: Arc::new(FailpointSet::empty()),
         }
     }
 
@@ -260,9 +260,9 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         self
     }
 
-    /// Arm an explicit failpoint set for this runner, its cache, and any
-    /// journal it writes — overrides the `HPCGRID_FAILPOINTS` default. Used
-    /// by chaos tests to inject faults deterministically.
+    /// Arm a failpoint set for this runner, its cache, and any journal it
+    /// writes; every runner starts with its own empty set. Hit ordinals
+    /// count this runner's hits only, so faults fire deterministically.
     pub fn chaos(mut self, set: FailpointSet) -> Self {
         let set = Arc::new(set);
         self.cache.set_chaos(Arc::clone(&set));
@@ -520,7 +520,12 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
             }
         }
         let skip = replay.done_set();
-        let journal = RunJournal::open_append(path, replay.entries.len(), Arc::clone(&self.chaos))?;
+        let journal = RunJournal::reopen(
+            path.to_path_buf(),
+            replay.entries.len(),
+            replay.valid_len,
+            Arc::clone(&self.chaos),
+        )?;
         Ok(self.journaled_fold(journal, specs, &hashes, &skip, f, fold, acc))
     }
 

@@ -237,12 +237,6 @@ impl ScenarioSpec {
         self.params.get(Self::PRECISION_PARAM)?.as_str()
     }
 
-    /// The meter count recorded by [`ScenarioSpecBuilder::fleet_meters`],
-    /// if any. `None` means the scenario does not stream a meter fleet.
-    pub fn fleet_meters(&self) -> Option<i64> {
-        self.params.get(Self::FLEET_METERS_PARAM)?.as_i64()
-    }
-
     /// The contract-ledger revision recorded by
     /// [`ScenarioSpecBuilder::ledger_revision`], if any. `None` means the
     /// scenario bills a fixed contract rather than a ledger stream.
@@ -261,10 +255,6 @@ impl ScenarioSpec {
     /// Reserved param key naming the billing precision a scenario evaluates
     /// at (`"bit_exact"` or `"fast"`).
     pub const PRECISION_PARAM: &'static str = "precision";
-
-    /// Reserved param key recording the meter count of a streaming-fleet
-    /// scenario.
-    pub const FLEET_METERS_PARAM: &'static str = "fleet_meters";
 
     /// Reserved param key recording the contract-ledger revision an as-of
     /// billing scenario hydrates at.
@@ -355,14 +345,6 @@ impl ScenarioSpecBuilder {
     /// serves results computed at the other precision.
     pub fn precision(self, label: impl Into<String>) -> Self {
         self.param(ScenarioSpec::PRECISION_PARAM, label.into())
-    }
-
-    /// Record the meter count of a streaming-fleet scenario, as the
-    /// reserved [`ScenarioSpec::FLEET_METERS_PARAM`] param. Fleet sweeps at
-    /// different scales (e.g. the CI 10 k smoke vs the committed 1 M
-    /// baseline) then cache under different content hashes.
-    pub fn fleet_meters(self, meters: i64) -> Self {
-        self.param(ScenarioSpec::FLEET_METERS_PARAM, meters)
     }
 
     /// Record the contract-ledger revision an as-of billing scenario
@@ -489,23 +471,6 @@ mod tests {
             .precision("bit_exact")
             .build();
         assert_ne!(fast.content_hash(), exact.content_hash());
-    }
-
-    #[test]
-    fn fleet_meters_is_a_reserved_param() {
-        let plain = spec();
-        assert_eq!(plain.fleet_meters(), None);
-
-        let smoke = ScenarioSpec::builder("fleet_throughput")
-            .fleet_meters(10_000)
-            .build();
-        assert_eq!(smoke.fleet_meters(), Some(10_000));
-        // Fleet scale separates cache keys: a 10 k smoke run must never be
-        // served the committed 1 M baseline result (or vice versa).
-        let baseline = ScenarioSpec::builder("fleet_throughput")
-            .fleet_meters(1_000_000)
-            .build();
-        assert_ne!(smoke.content_hash(), baseline.content_hash());
     }
 
     #[test]

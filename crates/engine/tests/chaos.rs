@@ -1,9 +1,9 @@
 //! Chaos suite: the engine's failure paths, exercised deterministically
 //! through `hpcgrid_engine::chaos` failpoints.
 //!
-//! Every test arms an explicit [`FailpointSet`] via [`SweepRunner::chaos`]
-//! (never the environment, which would race parallel tests), so each fault
-//! fires at a known hit ordinal and the run reproduces bit-for-bit.
+//! Every test arms an explicit [`FailpointSet`] via [`SweepRunner::chaos`],
+//! so each fault fires at a known hit ordinal and the run reproduces
+//! bit-for-bit.
 
 use hpcgrid_engine::{
     FailpointSet, ResultCache, RunJournal, ScenarioCtx, ScenarioError, ScenarioSpec, SweepRunner,
@@ -323,9 +323,10 @@ fn resume_of_a_finished_sweep_executes_nothing() {
 /// 100-scenario journaled fold, then resume on a fresh runner. The torn
 /// write must stop the sweep, leave a replayable journal, and the resume
 /// must be bit-identical to an uninterrupted fold without re-executing any
-/// journaled scenario. With `warm`, every scenario is already cached, so the
-/// tear lands while phase 1 folds cache hits; cold, it lands during
-/// execution.
+/// journaled scenario. The resume must also cut the torn tail off, so its
+/// own records replay: a second resume executes nothing. With `warm`, every
+/// scenario is already cached, so the tear lands while phase 1 folds cache
+/// hits; cold, it lands during execution.
 fn torn_journal_resumes_bit_identically(tag: &str, warm: bool, tear_at: u64) {
     let journal = temp_path(tag);
     let specs = specs(100);
@@ -380,6 +381,23 @@ fn torn_journal_resumes_bit_identically(tag: &str, warm: bool, tear_at: u64) {
         executed.iter().all(|h| !journaled.contains(h)),
         "a journaled scenario was re-executed"
     );
+
+    let replay = RunJournal::replay(&journal).unwrap();
+    assert!(!replay.torn, "the resume truncated the torn tail");
+    assert_eq!(replay.entries.len(), 100, "every scenario journaled once");
+    let mut again: SweepRunner<u64> = SweepRunner::new();
+    let twice = again
+        .resume(
+            &journal,
+            &specs,
+            |_| -> Result<u64, String> { panic!("a journaled scenario was re-executed") },
+            0u64,
+            fold,
+        )
+        .unwrap();
+    assert_eq!(twice.value, expected);
+    assert_eq!(twice.report.executed, 0);
+    assert_eq!(twice.report.journal_replayed, 100);
     std::fs::remove_file(&journal).unwrap();
 }
 

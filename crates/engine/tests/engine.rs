@@ -214,48 +214,50 @@ fn per_scenario_records_classify_dispositions() {
 }
 
 /// A standalone cache shared by two runners deduplicates work across sweeps
-/// in the same process via the artifact tier.
+/// in the same process via the artifact tier, in either artifact format.
 #[test]
 fn artifact_dir_is_shared_across_runners() {
-    let dir = std::env::temp_dir().join(format!("hpcgrid-engine-share-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let specs = sweep_specs(10);
-    {
-        let mut first: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
-        first.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")?));
+    for (format, ext) in [
+        (ArtifactFormat::Binary, "bin"),
+        (ArtifactFormat::Json, "json"),
+    ] {
+        let dir =
+            std::env::temp_dir().join(format!("hpcgrid-engine-share-{}-{ext}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = sweep_specs(10);
+        {
+            let mut first: SweepRunner<f64> =
+                SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
+            first.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")?));
+        }
+        let mut second: SweepRunner<f64> =
+            SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
+        let outcome = second.run(&specs, |_| -> Result<f64, String> {
+            panic!("artifacts must satisfy the sweep")
+        });
+        assert_eq!(outcome.report.artifact_hits, 10);
+        assert_eq!(outcome.report.executed, 0);
+        // Every probe the second runner made was answered by the index; the
+        // only disk traffic was fetching the ten artifacts themselves.
+        assert_eq!(outcome.report.index_probes, 10);
+        assert_eq!(outcome.report.disk_reads, 10);
+        // Artifacts are self-describing files named by content hash, fanned
+        // out into xx/yy shard subdirectories keyed by the hash's leading
+        // hex digits, with the format's extension.
+        let mut files: Vec<String> = Vec::new();
+        collect_artifact_files(&dir, &mut files);
+        files.sort();
+        let mut expected: Vec<String> = specs
+            .iter()
+            .map(|s| {
+                let hex = s.content_hash().to_hex();
+                format!("{}/{}/{hex}.{ext}", &hex[0..2], &hex[2..4])
+            })
+            .collect();
+        expected.sort();
+        assert_eq!(files, expected);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    let mut second: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
-    let outcome = second.run(&specs, |_| -> Result<f64, String> {
-        panic!("artifacts must satisfy the sweep")
-    });
-    assert_eq!(outcome.report.artifact_hits, 10);
-    assert_eq!(outcome.report.executed, 0);
-    // Every probe the second runner made was answered by the index; the only
-    // disk traffic was fetching the ten artifacts themselves.
-    assert_eq!(outcome.report.index_probes, 10);
-    assert_eq!(outcome.report.disk_reads, 10);
-    // Artifacts are self-describing files named by content hash, fanned out
-    // into xx/yy shard subdirectories keyed by the hash's leading hex
-    // digits (binary `.bin` by default; the CI matrix re-runs this suite
-    // with `HPCGRID_SWEEP_ARTIFACT_FORMAT=json`, hence the env-derived
-    // extension).
-    let ext = match ArtifactFormat::from_env() {
-        ArtifactFormat::Binary => "bin",
-        ArtifactFormat::Json => "json",
-    };
-    let mut files: Vec<String> = Vec::new();
-    collect_artifact_files(&dir, &mut files);
-    files.sort();
-    let mut expected: Vec<String> = specs
-        .iter()
-        .map(|s| {
-            let hex = s.content_hash().to_hex();
-            format!("{}/{}/{hex}.{ext}", &hex[0..2], &hex[2..4])
-        })
-        .collect();
-    expected.sort();
-    assert_eq!(files, expected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Recursively collect artifact paths relative to `root`, `/`-separated.

@@ -1,6 +1,6 @@
 //! Property tests for the engine's hashing and caching invariants.
 
-use hpcgrid_engine::{ParamValue, ResultCache, ScenarioSpec, SweepRunner};
+use hpcgrid_engine::{ArtifactFormat, ParamValue, ResultCache, ScenarioSpec, SweepRunner};
 use proptest::prelude::*;
 
 /// Build a spec from a parameter list, inserting params in the given order.
@@ -283,10 +283,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Kill-and-resume: crash a journaled 1000-scenario fold at an arbitrary
-    /// commit point, resume from the journal on a fresh runner, and the
-    /// final fold is bit-identical to an uninterrupted run — with zero
-    /// re-execution of any journaled scenario.
+    /// Kill-and-resume: crash a journaled 1000-scenario fold, with seeded
+    /// scenario stalls, at an arbitrary commit point, resume from the
+    /// journal on a fresh runner, and the final fold is bit-identical to an
+    /// uninterrupted run — with zero re-execution of any journaled scenario.
     #[test]
     fn kill_and_resume_is_bit_identical_with_zero_reexecution(
         crash_at in 1u64..=1000,
@@ -325,8 +325,11 @@ proptest! {
             "hpcgrid-prop-resume-{}-{crash_at}.hgj",
             std::process::id()
         ));
-        let chaos =
-            FailpointSet::parse(&format!("engine.sweep.crash=crash@nth:{crash_at}")).unwrap();
+        let chaos = FailpointSet::parse(&format!(
+            "engine.sweep.crash=crash@nth:{crash_at};{}",
+            stall_clause(crash_at)
+        ))
+        .unwrap();
         let mut crashing: SweepRunner<(u64, u64)> = SweepRunner::new()
             .checkpoint_every(checkpoint_every)
             .chaos(chaos);
@@ -391,14 +394,26 @@ fn parity_scenario(
     Ok(((i as u64).wrapping_mul(0x9E3779B97F4A7C15), ctx.seed))
 }
 
-/// A cache directory holding artifacts for specs `0..10` of `distinct`, with
-/// the one for spec 4 overwritten by garbage.
-fn parity_cache_dir(tag: &str, distinct: &[ScenarioSpec]) -> std::path::PathBuf {
+/// The failpoint clause stalling ~3% of scenario executions by 1 ms, seeded
+/// by `seed`. Stalls are transparent: they move timing, never a value or a
+/// counter.
+fn stall_clause(seed: u64) -> String {
+    format!("engine.scenario.stall=stall:1ms@prob:0.03:{seed}")
+}
+
+/// A cache directory holding `format` artifacts for specs `0..10` of
+/// `distinct`, with the one for spec 4 overwritten by garbage.
+fn parity_cache_dir(
+    tag: &str,
+    distinct: &[ScenarioSpec],
+    format: ArtifactFormat,
+) -> std::path::PathBuf {
     let dir =
         std::env::temp_dir().join(format!("hpcgrid-prop-parity-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let flaky = std::sync::atomic::AtomicUsize::new(0);
-    let mut warm: SweepRunner<(u64, u64)> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    let mut warm: SweepRunner<(u64, u64)> =
+        SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
     warm.run(&distinct[..10], |ctx| parity_scenario(ctx, &flaky))
         .expect_all("warm-up");
     let corrupt = warm
@@ -416,10 +431,11 @@ proptest! {
     /// one driver: over a shuffled sweep holding duplicates, a planted
     /// corrupt artifact, an always-panicking scenario and a
     /// retried-then-recovered one, all three give the same value and the
-    /// same counters.
+    /// same counters — under either artifact format, with or without
+    /// seeded scenario stalls.
     #[test]
     fn every_entry_point_agrees_on_value_and_counters(shuffle_seed in 0u64..u64::MAX) {
-        use hpcgrid_engine::{RetryPolicy, RunReport};
+        use hpcgrid_engine::{FailpointSet, RetryPolicy, RunReport};
         use std::sync::atomic::AtomicUsize;
 
         let distinct: Vec<ScenarioSpec> = (0..40u64)
@@ -442,11 +458,6 @@ proptest! {
             specs.swap(i, (state >> 33) as usize % (i + 1));
         }
         let fold = |(s, x): (u64, u64), (a, b): (u64, u64)| (s.wrapping_add(a), x ^ b);
-        let runner = |tag: &str| -> SweepRunner<(u64, u64)> {
-            SweepRunner::with_artifact_dir(parity_cache_dir(tag, &distinct))
-                .unwrap()
-                .retry(RetryPolicy::with_budget(1))
-        };
         let counters = |r: &RunReport| {
             (
                 r.memory_hits,
@@ -459,54 +470,83 @@ proptest! {
                 r.disk_reads,
             )
         };
+        let mut value = None;
+        for (format, stalls) in [
+            (ArtifactFormat::Binary, false),
+            (ArtifactFormat::Binary, true),
+            (ArtifactFormat::Json, false),
+            (ArtifactFormat::Json, true),
+        ] {
+            let runner = |tag: &str| -> SweepRunner<(u64, u64)> {
+                let runner = SweepRunner::with_artifact_dir_and_format(
+                    parity_cache_dir(tag, &distinct, format),
+                    format,
+                )
+                .unwrap()
+                .retry(RetryPolicy::with_budget(1));
+                if stalls {
+                    runner.chaos(FailpointSet::parse(&stall_clause(shuffle_seed)).unwrap())
+                } else {
+                    runner
+                }
+            };
+            let case = format!("{shuffle_seed}-{}-{stalls}", format.label());
+            let tag = format!("{case}-run");
+            let flaky = AtomicUsize::new(0);
+            let run = runner(&tag).run(&specs, |ctx| parity_scenario(ctx, &flaky));
+            let run_value = run.successes().copied().fold((0, 0), fold);
+            prop_assert_eq!(run.errors().count(), 2, "both occurrences of the panicking spec");
 
-        let tag = format!("{shuffle_seed}-run");
-        let flaky = AtomicUsize::new(0);
-        let run = runner(&tag).run(&specs, |ctx| parity_scenario(ctx, &flaky));
-        let run_value = run.successes().copied().fold((0, 0), fold);
-        prop_assert_eq!(run.errors().count(), 2, "both occurrences of the panicking spec");
+            let tag_fold = format!("{case}-fold");
+            let flaky = AtomicUsize::new(0);
+            let folded = runner(&tag_fold).run_fold(
+                &specs,
+                |ctx| parity_scenario(ctx, &flaky),
+                (0, 0),
+                fold,
+                |(s1, x1), (s2, x2)| (s1.wrapping_add(s2), x1 ^ x2),
+            );
 
-        let tag_fold = format!("{shuffle_seed}-fold");
-        let flaky = AtomicUsize::new(0);
-        let folded = runner(&tag_fold).run_fold(
-            &specs,
-            |ctx| parity_scenario(ctx, &flaky),
-            (0, 0),
-            fold,
-            |(s1, x1), (s2, x2)| (s1.wrapping_add(s2), x1 ^ x2),
-        );
-
-        let tag_journal = format!("{shuffle_seed}-journal");
-        let journal = std::env::temp_dir().join(format!(
-            "hpcgrid-prop-parity-{}-{tag_journal}.hgj",
-            std::process::id()
-        ));
-        let flaky = AtomicUsize::new(0);
-        let journaled = runner(&tag_journal)
-            .run_fold_journaled(&journal, &specs, |ctx| parity_scenario(ctx, &flaky), (0, 0), fold)
-            .unwrap();
-
-        prop_assert_eq!(folded.value, run_value);
-        prop_assert_eq!(journaled.value, run_value);
-        prop_assert_eq!(folded.errors.len(), 1);
-        prop_assert_eq!(journaled.errors.len(), 1);
-        prop_assert!(!journaled.report.interrupted);
-        // 40 unique scenarios, 10 duplicates: 9 artifact hits, 1 corrupt
-        // artifact, 31 executions (one fails after a retry, one recovers on
-        // its retry), one index probe per unique scenario, and a disk read
-        // per artifact, corrupt included.
-        let expected = (10, 9, 31, 1, 2, 1, 40, 10);
-        prop_assert_eq!(counters(&run.report), expected);
-        prop_assert_eq!(counters(&folded.report), expected);
-        prop_assert_eq!(counters(&journaled.report), expected);
-
-        std::fs::remove_file(&journal).unwrap();
-        for tag in [tag, tag_fold, tag_journal] {
-            std::fs::remove_dir_all(std::env::temp_dir().join(format!(
-                "hpcgrid-prop-parity-{}-{tag}",
+            let tag_journal = format!("{case}-journal");
+            let journal = std::env::temp_dir().join(format!(
+                "hpcgrid-prop-parity-{}-{tag_journal}.hgj",
                 std::process::id()
-            )))
-            .unwrap();
+            ));
+            let flaky = AtomicUsize::new(0);
+            let journaled = runner(&tag_journal)
+                .run_fold_journaled(
+                    &journal,
+                    &specs,
+                    |ctx| parity_scenario(ctx, &flaky),
+                    (0, 0),
+                    fold,
+                )
+                .unwrap();
+
+            // Neither the format nor the stalls move the value.
+            prop_assert_eq!(*value.get_or_insert(run_value), run_value);
+            prop_assert_eq!(folded.value, run_value);
+            prop_assert_eq!(journaled.value, run_value);
+            prop_assert_eq!(folded.errors.len(), 1);
+            prop_assert_eq!(journaled.errors.len(), 1);
+            prop_assert!(!journaled.report.interrupted);
+            // 40 unique scenarios, 10 duplicates: 9 artifact hits, 1
+            // corrupt artifact, 31 executions (one fails after a retry, one
+            // recovers on its retry), one index probe per unique scenario,
+            // and a disk read per artifact, corrupt included.
+            let expected = (10, 9, 31, 1, 2, 1, 40, 10);
+            prop_assert_eq!(counters(&run.report), expected);
+            prop_assert_eq!(counters(&folded.report), expected);
+            prop_assert_eq!(counters(&journaled.report), expected);
+
+            std::fs::remove_file(&journal).unwrap();
+            for tag in [tag, tag_fold, tag_journal] {
+                std::fs::remove_dir_all(std::env::temp_dir().join(format!(
+                    "hpcgrid-prop-parity-{}-{tag}",
+                    std::process::id()
+                )))
+                .unwrap();
+            }
         }
     }
 }

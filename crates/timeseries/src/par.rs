@@ -1,30 +1,16 @@
-//! Parallel batch helpers for Monte-Carlo parameter sweeps.
+//! Parallel batch helpers for independent, similarly sized tasks.
 //!
-//! The experiment harness evaluates hundreds of scenarios (tariff × load ×
-//! policy combinations) that are mutually independent — classic
-//! embarrassingly-parallel fan-out. These helpers run a closure over a slice
-//! of inputs on scoped threads (`std::thread::scope`), preserving input order
-//! in the output.
-//!
-//! Two scheduling modes are provided:
-//!
-//! * [`par_map`] — static chunking, lowest overhead, best when every task
-//!   costs about the same;
-//! * [`par_map_dynamic`] — an atomic work counter so threads steal the next
-//!   index when they finish, best when task costs are skewed (e.g. sweeps
-//!   where longer horizons cost more).
-//!
-//! Each has a fallible variant ([`try_par_map`], [`try_par_map_dynamic`])
-//! that catches per-task panics and reports them as a [`ParError`] instead of
-//! aborting the whole sweep — the building block the `hpcgrid-engine`
-//! scenario runner uses for fault isolation. The infallible versions delegate
-//! to them and resurface the first panic, preserving the historical "a panic
-//! in `f` panics the caller" contract.
+//! [`try_par_map`] runs a closure over a slice of inputs on scoped threads
+//! (`std::thread::scope`) with static chunking, preserving input order in
+//! the output. Per-task panics are caught and reported as a [`ParError`]
+//! instead of aborting the batch. Batch billing fans loads across it, and a
+//! meter fleet fans its shards across it once per advance.
+//! [`default_threads`] and [`panic_message`] are shared with the
+//! `hpcgrid-engine` sweep runner, which schedules scenarios on its own
+//! worker pool.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A worker task panicked during a parallel map.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,22 +51,10 @@ pub fn default_threads(tasks: usize) -> usize {
 }
 
 /// Map `f` over `items` in parallel with static chunking; output order
-/// matches input order. Falls back to a sequential map for 0–1 items.
-///
-/// # Panics
-/// Re-raises the first panic observed in a worker task.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    unwrap_par(try_par_map(items, f))
-}
-
-/// Fallible [`par_map`]: a panic in any task stops the sweep and is returned
-/// as a [`ParError`] naming the first offending input index; tasks already
-/// running complete normally.
+/// matches input order. Falls back to a sequential map for 0–1 items. A
+/// panic in any task stops the batch and is returned as a [`ParError`]
+/// naming the first offending input index; tasks already running complete
+/// normally.
 pub fn try_par_map<T, U, F>(items: &[T], f: F) -> Result<Vec<U>, ParError>
 where
     T: Sync,
@@ -151,208 +125,6 @@ where
     }
 }
 
-/// Map `f` over `items` in parallel with dynamic (work-stealing-style)
-/// scheduling; output order matches input order.
-///
-/// # Panics
-/// Re-raises the first panic observed in a worker task.
-pub fn par_map_dynamic<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    unwrap_par(try_par_map_dynamic(items, f))
-}
-
-/// Fallible [`par_map_dynamic`]: per-task panics become a [`ParError`] for
-/// the lowest panicking input index; remaining queued tasks are skipped once
-/// a panic is observed.
-pub fn try_par_map_dynamic<T, U, F>(items: &[T], f: F) -> Result<Vec<U>, ParError>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let n = items.len();
-    if n <= 1 {
-        return seq_map(items, &f);
-    }
-    let threads = default_threads(n);
-    let next = AtomicUsize::new(0);
-    // Lowest panicking index, or usize::MAX while none: doubles as the
-    // cooperative stop signal for the remaining workers.
-    let first_panic = AtomicUsize::new(usize::MAX);
-    let collected: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
-    let messages: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // Per-thread buffer so the shared lock is taken once per thread.
-                let mut local: Vec<(usize, U)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n || first_panic.load(Ordering::Relaxed) != usize::MAX {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                        Ok(u) => local.push((i, u)),
-                        Err(payload) => {
-                            first_panic.fetch_min(i, Ordering::Relaxed);
-                            messages
-                                .lock()
-                                .expect("message mutex poisoned")
-                                .push((i, panic_message(payload.as_ref())));
-                        }
-                    }
-                }
-                collected
-                    .lock()
-                    .expect("result mutex poisoned")
-                    .extend(local);
-            });
-        }
-    });
-    let panic_idx = first_panic.load(Ordering::Relaxed);
-    if panic_idx != usize::MAX {
-        let messages = messages.into_inner().expect("message mutex poisoned");
-        let message = messages
-            .into_iter()
-            .find(|(i, _)| *i == panic_idx)
-            .map(|(_, m)| m)
-            .unwrap_or_else(|| "worker panicked".to_string());
-        return Err(ParError {
-            index: panic_idx,
-            message,
-        });
-    }
-    let mut pairs = collected.into_inner().expect("result mutex poisoned");
-    pairs.sort_by_key(|(i, _)| *i);
-    Ok(pairs.into_iter().map(|(_, u)| u).collect())
-}
-
-/// Parallel fold: map every item and combine the results with `combine`,
-/// starting from `init`. Combination order is unspecified, so `combine`
-/// should be associative and commutative.
-///
-/// Streams: per-item results are combined into per-thread accumulators the
-/// moment they are produced, so the fold never materializes a `Vec` of
-/// mapped values — memory stays O(threads) for any input length.
-///
-/// # Panics
-/// Re-raises the first panic observed in a worker task.
-pub fn par_fold<T, A, F, C>(items: &[T], init: A, f: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send + Clone,
-    F: Fn(&T) -> A + Sync,
-    C: Fn(A, A) -> A + Sync,
-{
-    match try_par_fold_dynamic(items, init, f, combine) {
-        Ok(a) => a,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible streaming parallel fold with dynamic scheduling.
-///
-/// Each worker steals the next index, maps it with `f`, and immediately
-/// combines the result into its thread-local accumulator (seeded with a
-/// clone of `init`); thread accumulators are merged with `combine` at the
-/// end. Nothing proportional to `items.len()` is ever allocated.
-///
-/// `combine` must be associative and commutative (a commutative monoid with
-/// `init` as identity): the combination order is whatever order workers
-/// finish in.
-///
-/// A per-task panic stops the sweep and is returned as a [`ParError`]
-/// naming the lowest panicking input index, mirroring
-/// [`try_par_map_dynamic`]; tasks already running complete normally but
-/// their partial accumulators are discarded.
-pub fn try_par_fold_dynamic<T, A, F, C>(
-    items: &[T],
-    init: A,
-    f: F,
-    combine: C,
-) -> Result<A, ParError>
-where
-    T: Sync,
-    A: Send + Clone,
-    F: Fn(&T) -> A + Sync,
-    C: Fn(A, A) -> A + Sync,
-{
-    let n = items.len();
-    if n <= 1 {
-        return match items.first() {
-            None => Ok(init),
-            Some(item) => match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(a) => Ok(combine(init, a)),
-                Err(payload) => Err(ParError {
-                    index: 0,
-                    message: panic_message(payload.as_ref()),
-                }),
-            },
-        };
-    }
-    let threads = default_threads(n);
-    let next = AtomicUsize::new(0);
-    let first_panic = AtomicUsize::new(usize::MAX);
-    let partials: Mutex<Vec<A>> = Mutex::new(Vec::with_capacity(threads));
-    let messages: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let init = init.clone();
-            let f = &f;
-            let combine = &combine;
-            let next = &next;
-            let first_panic = &first_panic;
-            let partials = &partials;
-            let messages = &messages;
-            s.spawn(move || {
-                let mut acc = init;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n || first_panic.load(Ordering::Relaxed) != usize::MAX {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                        Ok(a) => acc = combine(acc, a),
-                        Err(payload) => {
-                            first_panic.fetch_min(i, Ordering::Relaxed);
-                            messages
-                                .lock()
-                                .expect("message mutex poisoned")
-                                .push((i, panic_message(payload.as_ref())));
-                        }
-                    }
-                }
-                partials.lock().expect("partial mutex poisoned").push(acc);
-            });
-        }
-    });
-    let panic_idx = first_panic.load(Ordering::Relaxed);
-    if panic_idx != usize::MAX {
-        let messages = messages.into_inner().expect("message mutex poisoned");
-        let message = messages
-            .into_iter()
-            .find(|(i, _)| *i == panic_idx)
-            .map(|(_, m)| m)
-            .unwrap_or_else(|| "worker panicked".to_string());
-        return Err(ParError {
-            index: panic_idx,
-            message,
-        });
-    }
-    let partials = partials.into_inner().expect("partial mutex poisoned");
-    // `init` already seeded every thread accumulator, so merge the partials
-    // into each other rather than folding `init` in again (identity or not,
-    // one extra combine is harmless — but for a true monoid it is exactly
-    // the identity, so this is the canonical reduction).
-    let mut iter = partials.into_iter();
-    let first = iter.next().unwrap_or(init);
-    Ok(iter.fold(first, &combine))
-}
-
 fn seq_map<T, U, F: Fn(&T) -> U>(items: &[T], f: &F) -> Result<Vec<U>, ParError> {
     items
         .iter()
@@ -366,125 +138,19 @@ fn seq_map<T, U, F: Fn(&T) -> U>(items: &[T], f: &F) -> Result<Vec<U>, ParError>
         .collect()
 }
 
-fn unwrap_par<U>(r: Result<Vec<U>, ParError>) -> Vec<U> {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, |x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_dynamic_preserves_order() {
-        let items: Vec<u64> = (0..997).collect();
-        let out = par_map_dynamic(&items, |x| x + 1);
-        assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_handles_small_inputs() {
-        let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, |x| *x).is_empty());
-        assert_eq!(par_map(&[7], |x| x * 3), vec![21]);
-        assert!(par_map_dynamic(&empty, |x| *x).is_empty());
-        assert_eq!(par_map_dynamic(&[7], |x| x * 3), vec![21]);
-    }
-
-    #[test]
-    fn par_fold_sums() {
-        let items: Vec<u64> = (1..=100).collect();
-        let total = par_fold(&items, 0u64, |x| *x, |a, b| a + b);
-        assert_eq!(total, 5050);
-    }
-
-    #[test]
-    fn try_par_fold_dynamic_matches_sequential() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let total = try_par_fold_dynamic(
-            &items,
-            0u64,
-            |x| x.wrapping_mul(7),
-            |a, b| a.wrapping_add(b),
-        )
-        .unwrap();
-        let expected = items
-            .iter()
-            .map(|x| x.wrapping_mul(7))
-            .fold(0u64, |a, b| a.wrapping_add(b));
-        assert_eq!(total, expected);
-    }
-
-    #[test]
-    fn try_par_fold_dynamic_handles_small_inputs() {
-        let empty: Vec<u64> = vec![];
-        assert_eq!(
-            try_par_fold_dynamic(&empty, 9u64, |x| *x, |a, b| a + b).unwrap(),
-            9
-        );
-        assert_eq!(
-            try_par_fold_dynamic(&[5u64], 1u64, |x| *x, |a, b| a + b).unwrap(),
-            6
-        );
-    }
-
-    #[test]
-    fn try_par_fold_dynamic_reports_first_panic() {
-        let items: Vec<u64> = (0..512).collect();
-        let err = try_par_fold_dynamic(
-            &items,
-            0u64,
-            |x| {
-                if *x == 31 || *x == 200 {
-                    panic!("fold boom at {x}");
-                }
-                *x
-            },
-            |a, b| a + b,
-        )
-        .unwrap_err();
-        assert!(err.index == 31 || err.index == 200);
-        assert!(err.message.contains("fold boom"), "{}", err.message);
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel task")]
-    fn par_fold_repanics_on_worker_panic() {
-        let items: Vec<u64> = (0..64).collect();
-        par_fold(
-            &items,
-            0u64,
-            |x| {
-                if *x == 9 {
-                    panic!("fold contract");
-                }
-                *x
-            },
-            |a, b| a + b,
-        );
-    }
-
-    #[test]
-    fn matches_sequential_on_skewed_work() {
-        // Tasks with wildly different costs still produce ordered results.
-        let items: Vec<u64> = (0..64).collect();
-        let out = par_map_dynamic(&items, |x| {
-            let mut acc = 0u64;
-            for i in 0..(x % 13) * 10_000 {
-                acc = acc.wrapping_add(i);
-            }
-            (*x, acc).0
-        });
-        assert_eq!(out, items);
+    fn try_par_map_preserves_order_at_every_size() {
+        for n in [0u64, 1, 100, 1000] {
+            let items: Vec<u64> = (0..n).collect();
+            assert_eq!(
+                try_par_map(&items, |x| x + 1).unwrap(),
+                items.iter().map(|x| x + 1).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -509,51 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_dynamic_reports_panic_and_survives() {
-        let items: Vec<u64> = (0..256).collect();
-        let err = try_par_map_dynamic(&items, |x| {
-            if *x == 13 {
-                panic!("unlucky");
-            }
-            *x
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 13);
-        assert!(err.message.contains("unlucky"));
-        // The same helper still works afterwards (no poisoned global state).
-        assert_eq!(try_par_map_dynamic(&items, |x| *x).unwrap(), items);
-    }
-
-    #[test]
-    fn try_variants_succeed_without_panics() {
-        let items: Vec<u64> = (0..100).collect();
-        assert_eq!(
-            try_par_map(&items, |x| x + 1).unwrap(),
-            items.iter().map(|x| x + 1).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            try_par_map_dynamic(&items, |x| x + 1).unwrap(),
-            items.iter().map(|x| x + 1).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn sequential_small_input_panic_is_caught() {
         let items = [1u64];
         let err = try_par_map(&items, |_| -> u64 { panic!("single") }).unwrap_err();
         assert_eq!(err.index, 0);
         assert!(err.message.contains("single"));
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel task")]
-    fn infallible_wrapper_still_panics() {
-        let items: Vec<u64> = (0..64).collect();
-        par_map(&items, |x| {
-            if *x == 7 {
-                panic!("legacy contract");
-            }
-            *x
-        });
     }
 }

@@ -135,10 +135,8 @@ proptest! {
     #[test]
     fn par_map_matches_sequential(items in prop::collection::vec(0u64..1_000_000, 0..200)) {
         let seq: Vec<u64> = items.iter().map(|x| x.wrapping_mul(31).rotate_left(7)).collect();
-        let par1 = par::par_map(&items, |x| x.wrapping_mul(31).rotate_left(7));
-        let par2 = par::par_map_dynamic(&items, |x| x.wrapping_mul(31).rotate_left(7));
-        prop_assert_eq!(&seq, &par1);
-        prop_assert_eq!(&seq, &par2);
+        let mapped = par::try_par_map(&items, |x| x.wrapping_mul(31).rotate_left(7)).unwrap();
+        prop_assert_eq!(&seq, &mapped);
     }
 
     /// cost_against with a constant price equals total_energy × price.
