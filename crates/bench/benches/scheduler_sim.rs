@@ -2,8 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcgrid_bench::scenarios::{meter_step, reference_site, reference_trace};
-use hpcgrid_scheduler::policy::{CapSchedule, Policy, PowerConstraints};
+use hpcgrid_scheduler::policy::{CapSchedule, DvfsThrottle, Policy, PowerConstraints};
 use hpcgrid_scheduler::sim::ScheduleSimulator;
+use hpcgrid_timeseries::intervals::{Interval, IntervalSet};
+use hpcgrid_units::{Duration, SimTime};
 use std::hint::black_box;
 
 fn bench_scheduler(c: &mut Criterion) {
@@ -53,6 +55,55 @@ fn bench_scheduler(c: &mut Criterion) {
                 constraints.clone(),
             )
             .run(&capped_trace);
+            black_box(out.utilization())
+        })
+    });
+    g.bench_function("easy_overloaded", |b| {
+        // Offered load ≥ 1, as at GSI: the queue stays deep all month, so
+        // every event scans many queued jobs.
+        let overloaded = hpcgrid_workload::trace::WorkloadBuilder::new(1)
+            .nodes(512)
+            .days(30)
+            .arrivals_per_hour(56.0)
+            .deferrable_fraction(0.25)
+            .build();
+        assert!(overloaded.offered_load() >= 1.0);
+        b.iter(|| {
+            let out = ScheduleSimulator::new(overloaded.machine_nodes, Policy::EasyBackfill)
+                .run(&overloaded);
+            black_box(out.utilization())
+        })
+    });
+    g.bench_function("easy_dvfs", |b| {
+        // Jobs started in the evening peak run at 60 % speed. A generated
+        // regular job's walltime is 1.5× its runtime, so its dilated
+        // runtime outlasts the walltime: a backfilled job can end past the
+        // shadow and force it to be recomputed.
+        let windows = IntervalSet::from_intervals(
+            (0..30)
+                .map(|d| {
+                    let day = SimTime::from_days(d);
+                    Interval::new(
+                        day + Duration::from_hours(17.0),
+                        day + Duration::from_hours(21.0),
+                    )
+                })
+                .collect(),
+        );
+        let constraints = PowerConstraints {
+            dvfs: Some(DvfsThrottle {
+                windows,
+                factor: 0.6,
+            }),
+            ..Default::default()
+        };
+        b.iter(|| {
+            let out = ScheduleSimulator::with_constraints(
+                trace.machine_nodes,
+                Policy::EasyBackfill,
+                constraints.clone(),
+            )
+            .run(&trace);
             black_box(out.utilization())
         })
     });

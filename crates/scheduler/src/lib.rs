@@ -5,10 +5,12 @@
 //! responses to ESP programs: *"energy and power-aware job scheduling, power
 //! capping, and shutdown"* (§2, citing Bates et al. \[7\]).
 //!
-//! * [`policy`] — queue disciplines (FCFS, EASY backfill) and power
-//!   constraints (busy-node cap schedules, avoid-windows for deferrable
-//!   jobs, idle-node shutdown);
-//! * [`sim`] — the event-driven simulator;
+//! * [`policy`] — queue disciplines (FCFS, EASY backfill, conservative
+//!   backfill) and power constraints (busy-node cap schedules,
+//!   avoid-windows for deferrable jobs, DVFS throttling of jobs started in
+//!   designated windows, idle-node shutdown);
+//! * [`sim`] — the event-driven simulator, linear in events: one queue
+//!   pass per event over a running set ordered by expected end;
 //! * [`metrics`] — mission metrics (utilization, wait, bounded slowdown)
 //!   and conversion of schedules into IT/facility load series.
 //!

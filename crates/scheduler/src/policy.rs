@@ -59,12 +59,11 @@ impl CapSchedule {
     }
 
     /// The next time after `t` at which the cap changes, if any. The
-    /// simulator uses this to wake up when a cap relaxes.
+    /// simulator uses this to wake up when a cap relaxes, once per event,
+    /// so it is a binary search over the sorted entries.
     pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .map(|(from, _)| *from)
-            .find(|from| *from > t)
+        let i = self.entries.partition_point(|(from, _)| *from <= t);
+        self.entries.get(i).map(|(from, _)| *from)
     }
 
     /// True if no entries exist.
@@ -160,6 +159,30 @@ mod tests {
             Some(SimTime::from_hours(10.0))
         );
         assert_eq!(c.next_change_after(SimTime::from_hours(10.0)), None);
+    }
+
+    #[test]
+    fn next_change_matches_linear_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            // Few distinct hours, so entries share timestamps.
+            let entries: Vec<(SimTime, usize)> = (0..rng.gen_range(0..8usize))
+                .map(|_| (SimTime::from_hours(rng.gen_range(0..12u64) as f64), 1))
+                .collect();
+            let cap = CapSchedule::new(entries);
+            // Probe on and between the entry times.
+            for half_hours in 0..26 {
+                let t = SimTime::from_secs(half_hours * 1_800);
+                let linear = cap
+                    .entries()
+                    .iter()
+                    .map(|(from, _)| *from)
+                    .find(|from| *from > t);
+                assert_eq!(cap.next_change_after(t), linear, "{cap:?} at {t}");
+            }
+        }
     }
 
     #[test]

@@ -8,14 +8,45 @@
 //! scheduler knows); completions use *actual runtimes* (what really
 //! happens). Caps are honored at start time; the shadow-time computation for
 //! EASY ignores future cap changes, a documented conservative simplification.
+//!
+//! # Cost per event
+//!
+//! One event costs one pass over the queue plus, for EASY, a walk of the
+//! running set up to the shadow: the expected end at which the queue head's
+//! reservation can start. Running jobs live in one vector kept sorted by
+//! `(expected_end, idx)`, so the walk sorts nothing. A started job leaves a
+//! tombstone in the queue, and the queue is compacted once per event.
+//!
+//! After an EASY backfill start the pass keeps its shadow, its spare nodes
+//! and its scan position, because a fresh walk would find the same
+//! reservation. It recomputes the shadow and rescans from the head on three
+//! exits instead:
+//!
+//! * **tie** — the started job's expected end equals the shadow. Ties walk
+//!   in `idx` order, so the start can *raise* the spare nodes;
+//! * **overrun** — the job ends past the shadow and takes more nodes than
+//!   are spare then. A DVFS-dilated runtime, or a runtime above the
+//!   walltime, does this to a job admitted as ending before the shadow;
+//! * **cap** — the head is blocked by the cap rather than short of nodes,
+//!   so an earlier-ending start can move its shadow earlier.
+//!
+//! Conservative backfill builds its availability profile from the same
+//! ordered set, finds each reservation in one sweep of the profile, and
+//! keeps going after a start: the started job occupies exactly the
+//! reservation it was granted, unless its expected end differs from
+//! `now + walltime`, in which case the profile is rebuilt.
+//!
+//! A pass stops early once no job in the trace can fit: fewer free nodes
+//! than its smallest job, or a cap that the smallest job would break.
 
 use crate::metrics::{JobRecord, SimOutcome};
-use crate::policy::{DvfsThrottle, Policy, PowerConstraints};
+use crate::policy::{Policy, PowerConstraints};
 use crate::{Result, SchedError};
-use hpcgrid_units::SimTime;
-use hpcgrid_workload::job::JobKind;
+use hpcgrid_timeseries::intervals::IntervalSet;
+use hpcgrid_units::{Duration, SimTime};
+use hpcgrid_workload::job::{Job, JobKind};
 use hpcgrid_workload::trace::JobTrace;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// The simulator. Construct once, run one trace.
@@ -24,12 +55,6 @@ pub struct ScheduleSimulator {
     nodes: usize,
     policy: Policy,
     constraints: PowerConstraints,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    expected_end: SimTime,
-    nodes: usize,
 }
 
 impl ScheduleSimulator {
@@ -64,7 +89,7 @@ impl ScheduleSimulator {
     /// Run the trace to completion and return the schedule.
     pub fn run(&mut self, trace: &JobTrace) -> SimOutcome {
         self.try_run(trace)
-            .expect("trace jobs exceed machine size or schedule deadlocks; use try_run for fallible scheduling")
+            .expect("trace jobs exceed machine size, are out of submit order, or schedule deadlocks; use try_run for fallible scheduling")
     }
 
     /// Fallible variant of [`ScheduleSimulator::run`].
@@ -81,7 +106,7 @@ impl ScheduleSimulator {
             }
         }
         let jobs = trace.jobs();
-        for j in jobs {
+        for (i, j) in jobs.iter().enumerate() {
             if j.nodes > self.nodes {
                 return Err(SchedError::JobTooLarge {
                     job: j.id.0,
@@ -89,37 +114,54 @@ impl ScheduleSimulator {
                     machine: self.nodes,
                 });
             }
+            // Admission is in slice order, so an unsorted trace (e.g. one
+            // deserialized without `JobTrace::from_parts`) would silently
+            // hold early submissions behind late ones.
+            if let Some(next) = jobs.get(i + 1).filter(|next| next.submit < j.submit) {
+                return Err(SchedError::BadParameter(format!(
+                    "trace is out of submit order: {} at {} follows {} at {}",
+                    next.id, next.submit, j.id, j.submit
+                )));
+            }
         }
 
-        let mut records: Vec<JobRecord> = Vec::with_capacity(jobs.len());
-        let mut queue: Vec<usize> = Vec::new(); // indices into `jobs`, FIFO order
-        let mut running: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
-        let mut running_info: Vec<Option<Running>> = vec![None; jobs.len()];
-        let mut free = self.nodes;
+        let mut m = Machine {
+            jobs,
+            policy: self.policy,
+            nodes: self.nodes,
+            smallest: jobs.iter().map(|j| j.nodes).min().unwrap_or(0),
+            free: self.nodes,
+            queue: Vec::new(),
+            running: Vec::new(),
+            completions: BinaryHeap::new(),
+            records: Vec::with_capacity(jobs.len()),
+        };
         let mut next_submit = 0usize;
         let mut now = jobs.first().map_or(SimTime::EPOCH, |j| j.submit);
 
         loop {
             // Admit all submissions up to `now`.
             while next_submit < jobs.len() && jobs[next_submit].submit <= now {
-                queue.push(next_submit);
+                m.queue.push(next_submit);
                 next_submit += 1;
             }
 
-            // Scheduling pass: repeat until no job starts.
-            loop {
-                let started = self.schedule_pass(
-                    jobs,
-                    &mut queue,
-                    &mut running,
-                    &mut running_info,
-                    &mut free,
-                    &mut records,
-                    now,
-                );
-                if !started {
-                    break;
-                }
+            let window_end = window_end_at(&self.constraints.avoid_windows, now);
+            let at = Event {
+                now,
+                cap: self.constraints.cap.max_busy_at(now),
+                window_open: window_end.is_some(),
+                throttle: self
+                    .constraints
+                    .dvfs
+                    .as_ref()
+                    .filter(|t| t.windows.contains(now))
+                    .map(|t| t.factor),
+            };
+            let started = m.records.len();
+            m.pass(&at);
+            if m.records.len() > started {
+                m.queue.retain(|&idx| idx != STARTED);
             }
 
             // Determine the next event.
@@ -132,26 +174,21 @@ impl ScheduleSimulator {
             if next_submit < jobs.len() {
                 consider(jobs[next_submit].submit);
             }
-            if let Some(Reverse((end, _))) = running.peek() {
+            if let Some(Reverse((end, _, _))) = m.completions.peek() {
                 consider(*end);
             }
-            if !queue.is_empty() {
+            if !m.queue.is_empty() {
                 if let Some(t) = self.constraints.cap.next_change_after(now) {
                     consider(t);
                 }
                 // Wake at the end of the avoid window blocking a deferrable job.
-                for iv in self.constraints.avoid_windows.intervals() {
-                    if iv.contains(now) {
-                        consider(iv.end);
-                    }
+                if let Some(end) = window_end {
+                    consider(end);
                 }
             }
 
             let Some(next_t) = next else {
-                if queue.is_empty() && running.is_empty() && next_submit >= jobs.len() {
-                    break; // all done
-                }
-                if running.is_empty() && next_submit >= jobs.len() && !queue.is_empty() {
+                if m.completions.is_empty() && next_submit >= jobs.len() && !m.queue.is_empty() {
                     return Err(SchedError::BadParameter(
                         "schedule deadlock: queued jobs can never start under the cap".into(),
                     ));
@@ -160,316 +197,326 @@ impl ScheduleSimulator {
             };
             now = next_t;
 
-            // Complete all jobs ending at or before `now`.
-            while let Some(Reverse((end, idx))) = running.peek().copied() {
-                if end > now {
-                    break;
-                }
-                running.pop();
-                let info = running_info[idx].take().expect("running job has info");
-                free += info.nodes;
-            }
+            m.complete_until(now);
         }
 
         Ok(SimOutcome::new(
-            records,
+            m.records,
             self.nodes,
             trace.horizon,
             self.constraints.shutdown_idle,
         ))
     }
+}
 
-    /// One scheduling pass; returns true if any job started.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_pass(
-        &self,
-        jobs: &[hpcgrid_workload::job::Job],
-        queue: &mut Vec<usize>,
-        running: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
-        running_info: &mut [Option<Running>],
-        free: &mut usize,
-        records: &mut Vec<JobRecord>,
-        now: SimTime,
-    ) -> bool {
-        let cap = self.constraints.cap.max_busy_at(now);
-        let busy = self.nodes - *free;
-        let fits = |idx: usize, free: usize, busy: usize| -> bool {
-            let j = &jobs[idx];
-            j.nodes <= free && busy + j.nodes <= cap
-        };
-        let window_blocked = |idx: usize| -> bool {
-            jobs[idx].kind == JobKind::Deferrable && self.constraints.avoid_windows.contains(now)
-        };
+/// The end of the interval of `windows` containing `t`, if any. The set is
+/// normalized, so the only candidate is the last interval starting at or
+/// before `t`.
+fn window_end_at(windows: &IntervalSet, t: SimTime) -> Option<SimTime> {
+    let ivs = windows.intervals();
+    let i = ivs.partition_point(|iv| iv.start <= t);
+    ivs[..i].last().filter(|iv| iv.contains(t)).map(|iv| iv.end)
+}
 
-        // Find the effective head: the first job not blocked by a window.
-        let head_pos = queue.iter().position(|&idx| !window_blocked(idx));
-        let Some(head_pos) = head_pos else {
-            return false; // everything queued is window-blocked
-        };
-        let head_idx = queue[head_pos];
+/// Queue tombstone of a job started during the current pass.
+const STARTED: usize = usize::MAX;
 
-        if fits(head_idx, *free, busy) {
-            start_job(
-                jobs,
-                head_idx,
-                head_pos,
-                queue,
-                running,
-                running_info,
-                free,
-                records,
-                now,
-                self.constraints.dvfs.as_ref(),
-            );
-            return true;
-        }
+/// The shadow of a head that no set of completions can free.
+const NEVER: SimTime = SimTime::from_secs(u64::MAX);
 
-        if self.policy == Policy::Fcfs {
-            return false; // strict: a blocked head blocks the queue
-        }
+/// What the constraints say at one event instant.
+struct Event {
+    now: SimTime,
+    /// Busy-node cap in force.
+    cap: usize,
+    /// Deferrable jobs may not start.
+    window_open: bool,
+    /// DVFS factor applied to jobs starting now.
+    throttle: Option<f64>,
+}
 
-        if self.policy == Policy::ConservativeBackfill {
-            return self.conservative_pass(
-                jobs,
-                queue,
-                running,
-                running_info,
-                free,
-                records,
-                now,
-                &window_blocked,
-            );
-        }
+/// Machine state for one run.
+struct Machine<'a> {
+    jobs: &'a [Job],
+    policy: Policy,
+    nodes: usize,
+    /// Nodes of the trace's smallest job: below this nothing can start.
+    smallest: usize,
+    free: usize,
+    /// Indices into `jobs` in FIFO order; [`STARTED`] marks a job started
+    /// during the current pass.
+    queue: Vec<usize>,
+    /// Running jobs by `(expected_end, idx)`, sorted: the order in which
+    /// backfill reservations see nodes come back. FCFS reserves nothing
+    /// and leaves it empty.
+    running: Vec<(SimTime, usize)>,
+    /// Running jobs by `(actual_end, idx)`, with their expected end.
+    completions: BinaryHeap<Reverse<(SimTime, usize, SimTime)>>,
+    records: Vec<JobRecord>,
+}
 
-        // EASY backfill: compute the head's reservation from expected ends.
-        let head_nodes = jobs[head_idx].nodes;
-        let mut ends: Vec<(SimTime, usize)> = running_info
-            .iter()
-            .flatten()
-            .map(|r| (r.expected_end, r.nodes))
-            .collect();
-        ends.sort_by_key(|(t, _)| *t);
-        let mut avail = *free;
-        let mut shadow = SimTime::from_secs(u64::MAX);
-        let mut extra = 0usize;
-        for (end, n) in ends {
-            avail += n;
-            if avail >= head_nodes {
-                shadow = end;
-                extra = avail - head_nodes;
-                break;
-            }
-        }
-        // Nodes free now that the reservation does not need at shadow time.
-        let spare_now = (*free).min(extra);
-
-        // Scan the queue after the head for backfill candidates.
-        for pos in 0..queue.len() {
-            if pos == head_pos {
-                continue;
-            }
-            let idx = queue[pos];
-            if window_blocked(idx) || !fits(idx, *free, busy) {
-                continue;
-            }
-            let j = &jobs[idx];
-            let finishes_before_shadow = now + j.walltime <= shadow;
-            if finishes_before_shadow || j.nodes <= spare_now {
-                start_job(
-                    jobs,
-                    idx,
-                    pos,
-                    queue,
-                    running,
-                    running_info,
-                    free,
-                    records,
-                    now,
-                    self.constraints.dvfs.as_ref(),
-                );
-                return true;
-            }
-        }
-        false
+impl Machine<'_> {
+    fn fits(&self, idx: usize, cap: usize) -> bool {
+        let nodes = self.jobs[idx].nodes;
+        nodes <= self.free && self.nodes - self.free + nodes <= cap
     }
 
-    /// Conservative backfill: every queued job gets a reservation in queue
-    /// order on an availability profile built from running jobs' expected
-    /// ends; a job may start now only if its own reservation is `now` —
-    /// which by construction means starting it delays nobody ahead of it.
-    #[allow(clippy::too_many_arguments)]
-    fn conservative_pass(
-        &self,
-        jobs: &[hpcgrid_workload::job::Job],
-        queue: &mut Vec<usize>,
-        running: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
-        running_info: &mut [Option<Running>],
-        free: &mut usize,
-        records: &mut Vec<JobRecord>,
-        now: SimTime,
-        window_blocked: &dyn Fn(usize) -> bool,
-    ) -> bool {
-        let cap = self.constraints.cap.max_busy_at(now);
-        let mut profile =
-            AvailabilityProfile::from_running(now, *free, running_info.iter().flatten());
-        for pos in 0..queue.len() {
-            let idx = queue[pos];
-            if window_blocked(idx) {
-                continue; // shifted out; it neither starts nor reserves now
+    /// True if no job of the trace could start now.
+    fn exhausted(&self, cap: usize) -> bool {
+        self.free < self.smallest || self.nodes - self.free + self.smallest > cap
+    }
+
+    fn window_blocked(&self, idx: usize, at: &Event) -> bool {
+        at.window_open && self.jobs[idx].kind == JobKind::Deferrable
+    }
+
+    /// True if the policy reserves nodes for queued jobs, and so reads
+    /// the running set.
+    fn reserves(&self) -> bool {
+        self.policy != Policy::Fcfs
+    }
+
+    /// One scheduling pass: start every job the policy admits at `at.now`.
+    fn pass(&mut self, at: &Event) {
+        // Start the head while it fits. The head is the first queued job
+        // not blocked by an avoid window.
+        let mut from = 0;
+        let head = loop {
+            if self.exhausted(at.cap) {
+                return;
             }
-            let j = &jobs[idx];
-            let start = profile.earliest_start(j.nodes, j.walltime);
-            if start == now {
-                // Honor the cap at the actual start instant.
-                let busy = self.nodes - *free;
-                if j.nodes <= *free && busy + j.nodes <= cap {
-                    start_job(
-                        jobs,
-                        idx,
-                        pos,
-                        queue,
-                        running,
-                        running_info,
-                        free,
-                        records,
-                        now,
-                        self.constraints.dvfs.as_ref(),
-                    );
-                    return true;
+            let Some(pos) =
+                (from..self.queue.len()).find(|&pos| !self.window_blocked(self.queue[pos], at))
+            else {
+                return;
+            };
+            if !self.fits(self.queue[pos], at.cap) {
+                break pos;
+            }
+            self.start(pos, at);
+            from = pos + 1;
+        };
+        match self.policy {
+            Policy::Fcfs => {} // strict: a blocked head blocks the queue
+            Policy::EasyBackfill => self.easy_backfill(head, at),
+            Policy::ConservativeBackfill => self.conservative_backfill(head, at),
+        }
+    }
+
+    /// The head's reservation: the expected end at which `head_nodes` are
+    /// free, and the nodes free then beyond the head's.
+    fn shadow(&self, head_nodes: usize) -> (SimTime, usize) {
+        let mut avail = self.free;
+        for &(end, idx) in &self.running {
+            avail += self.jobs[idx].nodes;
+            if avail >= head_nodes {
+                return (end, avail - head_nodes);
+            }
+        }
+        (NEVER, 0)
+    }
+
+    /// EASY backfill behind the blocked head at `queue[head]`: a later job
+    /// may start if it ends by the shadow or fits in the spare nodes.
+    fn easy_backfill(&mut self, head: usize, at: &Event) {
+        let head_nodes = self.jobs[self.queue[head]].nodes;
+        'shadow: loop {
+            let short = self.free < head_nodes;
+            let (shadow, mut extra) = self.shadow(head_nodes);
+            for pos in head + 1..self.queue.len() {
+                if self.exhausted(at.cap) {
+                    return;
+                }
+                let idx = self.queue[pos];
+                if idx == STARTED || self.window_blocked(idx, at) || !self.fits(idx, at.cap) {
+                    continue;
+                }
+                let Job {
+                    nodes, walltime, ..
+                } = self.jobs[idx];
+                if at.now + walltime > shadow && nodes > self.free.min(extra) {
+                    continue;
+                }
+                let expected_end = self.start(pos, at);
+                // Carry the reservation only where a fresh walk finds the
+                // same one; the module docs list the three exits.
+                let carried = short
+                    && shadow != NEVER
+                    && match expected_end.cmp(&shadow) {
+                        Ordering::Less => true,
+                        Ordering::Greater if nodes <= extra => {
+                            extra -= nodes;
+                            true
+                        }
+                        _ => false,
+                    };
+                if !carried {
+                    continue 'shadow;
                 }
             }
-            profile.commit(start, j.nodes, j.walltime);
+            return;
         }
-        false
+    }
+
+    /// Conservative backfill from the blocked head at `queue[head]` on: every
+    /// queued job reserves, in queue order, the earliest slot of the
+    /// availability profile; a job starts only if its reservation is now,
+    /// which by construction delays nobody ahead of it.
+    fn conservative_backfill(&mut self, head: usize, at: &Event) {
+        'profile: loop {
+            let mut profile = Profile::new(
+                at.now,
+                self.free,
+                self.running
+                    .iter()
+                    .map(|&(end, idx)| (end, self.jobs[idx].nodes)),
+            );
+            for pos in head..self.queue.len() {
+                if self.exhausted(at.cap) {
+                    return;
+                }
+                let idx = self.queue[pos];
+                if idx == STARTED || self.window_blocked(idx, at) {
+                    continue; // a blocked job neither starts nor reserves now
+                }
+                let Job {
+                    nodes, walltime, ..
+                } = self.jobs[idx];
+                let step = profile.earliest_start(nodes, walltime);
+                // Honor the cap at the actual start instant.
+                if profile.steps[step].0 == at.now && self.fits(idx, at.cap) {
+                    let expected_end = self.start(pos, at);
+                    if expected_end != at.now + walltime {
+                        continue 'profile; // it occupies more than its reservation
+                    }
+                }
+                profile.commit(step, nodes, walltime);
+            }
+            return;
+        }
+    }
+
+    /// Start `queue[pos]` at `at.now`, throttled if `at.now` falls in a DVFS
+    /// window (lower intensity, dilated runtime — race-to-idle inverted).
+    /// Returns its expected end.
+    fn start(&mut self, pos: usize, at: &Event) -> SimTime {
+        let idx = std::mem::replace(&mut self.queue[pos], STARTED);
+        let j = &self.jobs[idx];
+        self.free -= j.nodes;
+        let (intensity, runtime) = match at.throttle {
+            Some(factor) => {
+                let dilated =
+                    Duration::from_secs((j.runtime.as_secs() as f64 / factor).round() as u64);
+                (j.intensity * factor, dilated)
+            }
+            None => (j.intensity, j.runtime),
+        };
+        let actual_end = at.now + runtime;
+        // The scheduler plans on the walltime estimate, but a dilated run can
+        // legitimately outlast it; reservations must not lie about that.
+        let expected_end = at.now + j.walltime.max(runtime);
+        self.completions
+            .push(Reverse((actual_end, idx, expected_end)));
+        if self.reserves() {
+            let key = (expected_end, idx);
+            let slot = self.running.partition_point(|&e| e < key);
+            self.running.insert(slot, key);
+        }
+        self.records.push(JobRecord {
+            id: j.id,
+            submit: j.submit,
+            start: at.now,
+            end: actual_end,
+            nodes: j.nodes,
+            intensity,
+            kind: j.kind,
+        });
+        expected_end
+    }
+
+    /// Complete every job whose actual end is at or before `now`.
+    fn complete_until(&mut self, now: SimTime) {
+        while let Some(&Reverse((end, idx, expected_end))) = self.completions.peek() {
+            if end > now {
+                break;
+            }
+            self.completions.pop();
+            if self.reserves() {
+                let slot = self
+                    .running
+                    .binary_search(&(expected_end, idx))
+                    .expect("a running job is in the running set");
+                self.running.remove(slot);
+            }
+            self.free += self.jobs[idx].nodes;
+        }
     }
 }
 
 /// A piecewise-constant free-node profile over future time, used by
 /// conservative backfill to hold one reservation per queued job.
-struct AvailabilityProfile {
+struct Profile {
     /// `(from, free_nodes)` steps, sorted by time; each applies until the
     /// next step. The final step extends to infinity.
     steps: Vec<(SimTime, usize)>,
 }
 
-impl AvailabilityProfile {
-    /// Build from the currently running jobs' expected ends.
-    fn from_running<'a>(
+impl Profile {
+    /// Build from the running jobs' `(expected_end, nodes)` in end order.
+    fn new(
         now: SimTime,
         free_now: usize,
-        running: impl Iterator<Item = &'a Running>,
-    ) -> AvailabilityProfile {
-        let mut ends: Vec<(SimTime, usize)> = running
-            .map(|r| (r.expected_end.max(now), r.nodes))
-            .collect();
-        ends.sort_by_key(|(t, _)| *t);
+        running: impl Iterator<Item = (SimTime, usize)>,
+    ) -> Profile {
         let mut steps = vec![(now, free_now)];
         let mut free = free_now;
-        for (end, n) in ends {
+        for (end, n) in running {
+            let end = end.max(now);
             free += n;
             match steps.last_mut() {
                 Some((t, f)) if *t == end => *f = free,
                 _ => steps.push((end, free)),
             }
         }
-        AvailabilityProfile { steps }
+        Profile { steps }
     }
 
-    /// Free nodes at the step index covering `t`.
-    fn step_index(&self, t: SimTime) -> usize {
-        match self.steps.binary_search_by(|(from, _)| from.cmp(&t)) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
+    /// Index of the earliest step from which `nodes` stay free for
+    /// `walltime`, in one sweep: a step short of nodes moves the candidate
+    /// past it, and the first candidate whose window the sweep covers wins.
+    fn earliest_start(&self, nodes: usize, walltime: Duration) -> usize {
+        if walltime.is_zero() {
+            return 0; // an empty window fits anywhere
         }
-    }
-
-    /// Earliest time ≥ the profile start at which `nodes` are continuously
-    /// free for `walltime`.
-    fn earliest_start(&self, nodes: usize, walltime: hpcgrid_units::Duration) -> SimTime {
-        let candidates: Vec<SimTime> = self.steps.iter().map(|(t, _)| *t).collect();
-        'outer: for &cand in &candidates {
-            let end = cand + walltime;
-            let first = self.step_index(cand);
-            for (t, f) in &self.steps[first..] {
-                if *t >= end {
-                    break;
-                }
-                if *f < nodes {
-                    continue 'outer;
-                }
+        let mut cand = 0;
+        for (i, &(_, free)) in self.steps.iter().enumerate() {
+            if free < nodes {
+                cand = i + 1;
+                continue;
             }
-            return cand;
+            let end = self.steps[cand].0 + walltime;
+            if self.steps.get(i + 1).is_none_or(|&(t, _)| t >= end) {
+                return cand;
+            }
         }
         // Unreachable in practice: the last step has everything free.
-        *candidates.last().expect("profile has at least one step")
+        self.steps.len() - 1
     }
 
-    /// Subtract `nodes` over `[start, start + walltime)`.
-    fn commit(&mut self, start: SimTime, nodes: usize, walltime: hpcgrid_units::Duration) {
-        let end = start + walltime;
-        // Ensure boundary steps exist.
-        for boundary in [start, end] {
-            let i = self.step_index(boundary);
-            if self.steps[i].0 != boundary {
-                let free = self.steps[i].1;
-                self.steps.insert(i + 1, (boundary, free));
-            }
+    /// Subtract `nodes` over `[steps[at].0, steps[at].0 + walltime)`.
+    fn commit(&mut self, at: usize, nodes: usize, walltime: Duration) {
+        let end = self.steps[at].0 + walltime;
+        // The step covering `end`; split it there unless it starts there.
+        let mut stop = at + self.steps[at..].partition_point(|&(t, _)| t <= end) - 1;
+        if self.steps[stop].0 != end {
+            stop += 1;
+            let free = self.steps[stop - 1].1;
+            self.steps.insert(stop, (end, free));
         }
-        for (t, f) in self.steps.iter_mut() {
-            if *t >= start && *t < end {
-                *f = f.saturating_sub(nodes);
-            }
+        for (_, f) in &mut self.steps[at..stop] {
+            *f = f.saturating_sub(nodes);
         }
     }
-}
-
-/// Start `jobs[idx]` (currently at `queue[queue_pos]`) at time `now`,
-/// applying DVFS throttling if the start instant falls in a throttle window
-/// (lower intensity, dilated runtime — race-to-idle inverted).
-#[allow(clippy::too_many_arguments)]
-fn start_job(
-    jobs: &[hpcgrid_workload::job::Job],
-    idx: usize,
-    queue_pos: usize,
-    queue: &mut Vec<usize>,
-    running: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
-    running_info: &mut [Option<Running>],
-    free: &mut usize,
-    records: &mut Vec<JobRecord>,
-    now: SimTime,
-    throttle: Option<&DvfsThrottle>,
-) {
-    let j = &jobs[idx];
-    queue.remove(queue_pos);
-    *free -= j.nodes;
-    let (intensity, runtime) = match throttle {
-        Some(t) if t.windows.contains(now) => {
-            let dilated = hpcgrid_units::Duration::from_secs(
-                (j.runtime.as_secs() as f64 / t.factor).round() as u64,
-            );
-            (j.intensity * t.factor, dilated)
-        }
-        _ => (j.intensity, j.runtime),
-    };
-    let actual_end = now + runtime;
-    // The scheduler plans on the walltime estimate, but a dilated run can
-    // legitimately outlast it; reservations must not lie about that.
-    let expected_end = now + j.walltime.max(runtime);
-    running.push(Reverse((actual_end, idx)));
-    running_info[idx] = Some(Running {
-        expected_end,
-        nodes: j.nodes,
-    });
-    records.push(JobRecord {
-        id: j.id,
-        submit: j.submit,
-        start: now,
-        end: actual_end,
-        nodes: j.nodes,
-        intensity,
-        kind: j.kind,
-    });
 }
 
 #[cfg(test)]
@@ -660,6 +707,57 @@ mod tests {
         let trace = trace_of(vec![job(0, 0.0, 500, 1.0)], 100, 1);
         let r = ScheduleSimulator::new(100, Policy::Fcfs).try_run(&trace);
         assert!(matches!(r, Err(SchedError::JobTooLarge { .. })));
+    }
+
+    #[test]
+    fn out_of_order_trace_rejected() {
+        // A deserialized trace skips `from_parts`' sort. Admitted in slice
+        // order, the 2 h job would wait behind the 5 h one and start at 5 h.
+        let jobs = vec![
+            job(0, 1.0, 10, 1.0),
+            job(1, 5.0, 10, 1.0),
+            job(2, 2.0, 10, 1.0),
+        ];
+        let unsorted = trace_of(jobs.clone(), 100, 1);
+        let r = ScheduleSimulator::new(100, Policy::EasyBackfill).try_run(&unsorted);
+        assert!(matches!(r, Err(SchedError::BadParameter(_))), "{r:?}");
+
+        let sorted = JobTrace::from_parts(jobs, 100, Duration::from_days(1));
+        let out = ScheduleSimulator::new(100, Policy::EasyBackfill).run(&sorted);
+        let r2 = out.records().iter().find(|r| r.id == JobId(2)).unwrap();
+        assert_eq!(r2.start, SimTime::from_hours(2.0));
+        assert_eq!(r2.wait(), Duration::ZERO);
+    }
+
+    #[test]
+    fn window_end_matches_linear_scan() {
+        use hpcgrid_timeseries::intervals::{Interval, IntervalSet};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..200 {
+            let ivs = (0..rng.gen_range(0..6usize))
+                .map(|_| {
+                    let start = rng.gen_range(0..20u64);
+                    let len = rng.gen_range(0..4u64);
+                    Interval::new(
+                        SimTime::from_hours(start as f64),
+                        SimTime::from_hours((start + len) as f64),
+                    )
+                })
+                .collect();
+            let windows = IntervalSet::from_intervals(ivs);
+            // Probe on and between the interval bounds.
+            for half_hours in 0..50 {
+                let t = SimTime::from_secs(half_hours * 1_800);
+                let linear = windows
+                    .intervals()
+                    .iter()
+                    .find(|iv| iv.contains(t))
+                    .map(|iv| iv.end);
+                assert_eq!(window_end_at(&windows, t), linear, "{windows:?} at {t}");
+            }
+        }
     }
 
     #[test]
