@@ -7,17 +7,8 @@
 //! `BENCH_fleet.json` so the baseline is committed next to the code it
 //! describes.
 //!
-//! Two passes over the same workload separate the accrual cursor modes:
-//!
-//! * **cold** — freshly compiled kernels, empty segment-map caches: every
-//!   strip accrual advances its segment cursor sample by sample;
-//! * **warm** — the same kernel `Arc`s after one reference bill seeded
-//!   their segment-map caches: strip accruals replay the cached map
-//!   (geometry-known fast path) and only fall back to the cursor past its
-//!   end.
-//!
-//! The warm pass is then measured over all three ingest shapes (the
-//! "hot-path data layout" ladder in `docs/ARCHITECTURE.md`):
+//! One pass per ingest shape streams the same workload through the same
+//! kernels (the "hot-path data layout" ladder in `docs/ARCHITECTURE.md`):
 //!
 //! * **scalar** — AoS `advance_tick`: each tick's samples are transposed
 //!   into a fresh frame, whose id lane is compared against the cached
@@ -31,10 +22,10 @@
 //! Correctness gates run before any timing: a small fleet's finalized
 //! bills must be bit-identical to batch `CompiledContract::bill` over the
 //! equivalent series, per meter, for every contract shape — fed through
-//! every ingest shape. The throughput floors are asserted on the warm
-//! passes in release builds only: an absolute scalar floor, an absolute
-//! batched floor, and (at the committed full-scale workload) the fused
-//! path's ≥2.5× claim over the committed scalar baseline.
+//! every ingest shape. The throughput floors are asserted in release builds
+//! only: an absolute scalar floor, an absolute batched floor, and (at the
+//! committed full-scale workload) the fused path's ≥2.5× claim over the
+//! committed scalar baseline.
 //!
 //! `HPCGRID_FLEET_METERS` overrides the fleet size (CI smoke runs at
 //! 10 000); `HPCGRID_FLEET_SHARDS` sets the shards-per-contract count
@@ -63,17 +54,17 @@ const TICKS: usize = 96;
 const DEFAULT_METERS: usize = 1_000_000;
 /// Meter load profile classes (diurnal shapes at staggered scales).
 const PROFILES: usize = 8;
-/// Warm-pass throughput floor, meter-samples per second (release builds).
+/// Scalar-pass throughput floor, meter-samples per second (release builds).
 const FLOOR_SAMPLES_PER_SEC: f64 = 1_000_000.0;
-/// Fused-window width for the batched warm pass.
+/// Fused-window width for the windowed pass.
 const WINDOW_TICKS: usize = 16;
-/// Batched/windowed warm-pass floor at any fleet size (release builds) —
-/// the CI bench-smoke bar at `HPCGRID_FLEET_METERS=10000`.
+/// Batched/windowed floor at any fleet size (release builds) — the CI
+/// bench-smoke bar at `HPCGRID_FLEET_METERS=10000`.
 const BATCHED_FLOOR_SAMPLES_PER_SEC: f64 = 2_500_000.0;
-/// The committed warm scalar baseline this PR's tentpole is measured
+/// The committed warm scalar baseline the fused path's claim is measured
 /// against (`BENCH_fleet.json` before columnar frames landed).
 const COMMITTED_SCALAR_BASELINE: f64 = 18_400_000.0;
-/// Full-scale claim: fused warm throughput must clear this multiple of
+/// Full-scale claim: fused throughput must clear this multiple of
 /// [`COMMITTED_SCALAR_BASELINE`] at the committed [`DEFAULT_METERS`]
 /// workload.
 const FUSED_SPEEDUP_FLOOR: f64 = 2.5;
@@ -341,41 +332,23 @@ fn main() {
         shapes.len()
     );
 
-    // Cold pass: fresh kernels, empty segment-map caches — accruals run in
-    // cursor mode.
-    let cold_kernels = compile_kernels(calendar, &shapes, start, end);
-    let (cold_fleet, cold_reg_s, cold_stream_s) =
-        run_fleet(calendar, &cold_kernels, meters, start, end, shards);
-    let cold = cold_fleet.stats();
-    drop(cold_fleet); // free ~bytes_per_meter * meters before the warm pass
+    // Scalar pass: one advance_tick per tick.
+    let kernels = compile_kernels(calendar, &shapes, start, end);
+    let (scalar_fleet, scalar_reg_s, scalar_stream_s) =
+        run_fleet(calendar, &kernels, meters, start, end, shards);
+    let scalar = scalar_fleet.stats();
+    drop(scalar_fleet); // free ~bytes_per_meter * meters before the next pass
 
-    // Warm pass: same kernel Arcs after one reference bill seeded each
-    // timeline's segment-map cache — accruals replay the cached maps.
-    for (i, k) in cold_kernels.iter().enumerate() {
-        k.bill(&meter_series(i)).unwrap();
-    }
-    let (warm_fleet, warm_reg_s, warm_stream_s) =
-        run_fleet(calendar, &cold_kernels, meters, start, end, shards);
-    let warm = warm_fleet.stats();
-    drop(warm_fleet);
-
-    // Batched warm passes over the same seeded kernels: columnar frames
-    // (plan scatter, one tick per advance), then fused 16-tick windows
-    // (one push_run per meter per window).
+    // Batched passes over the same kernels: columnar frames (plan scatter,
+    // one tick per advance), then fused 16-tick windows (one push_run per
+    // meter per window).
     let (frames_fleet, frames_reg_s, frames_stream_s) =
-        run_fleet_batched(calendar, &cold_kernels, meters, start, end, 1, shards);
-    let warm_frames = frames_fleet.stats();
+        run_fleet_batched(calendar, &kernels, meters, start, end, 1, shards);
+    let frames = frames_fleet.stats();
     drop(frames_fleet);
-    let (fused_fleet, fused_reg_s, fused_stream_s) = run_fleet_batched(
-        calendar,
-        &cold_kernels,
-        meters,
-        start,
-        end,
-        WINDOW_TICKS,
-        shards,
-    );
-    let warm_fused = fused_fleet.stats();
+    let (fused_fleet, fused_reg_s, fused_stream_s) =
+        run_fleet_batched(calendar, &kernels, meters, start, end, WINDOW_TICKS, shards);
+    let fused = fused_fleet.stats();
 
     let mut t = TextTable::new(vec![
         "pass",
@@ -385,23 +358,22 @@ fn main() {
     ]);
     for (pass, reg, stream, stats) in [
         (
-            "cold scalar (cursor mode)",
-            cold_reg_s,
-            cold_stream_s,
-            &cold,
+            "scalar (advance_tick)",
+            scalar_reg_s,
+            scalar_stream_s,
+            &scalar,
         ),
-        ("warm scalar (map replay)", warm_reg_s, warm_stream_s, &warm),
         (
-            "warm frames (plan scatter)",
+            "frames (plan scatter)",
             frames_reg_s,
             frames_stream_s,
-            &warm_frames,
+            &frames,
         ),
         (
-            "warm fused (16-tick window)",
+            "fused (16-tick window)",
             fused_reg_s,
             fused_stream_s,
-            &warm_fused,
+            &fused,
         ),
     ] {
         t.row(vec![
@@ -413,31 +385,31 @@ fn main() {
     }
     println!("{}", t.render());
     println!(
-        "plan reuse: frames {}/{} builds/advances, fused {}/{} — speedup vs warm scalar: \
+        "plan reuse: frames {}/{} builds/advances, fused {}/{} — speedup vs scalar: \
          frames {:.2}x, fused {:.2}x; fused vs committed {COMMITTED_SCALAR_BASELINE:.0}: {:.2}x",
-        warm_frames.plan_builds,
-        warm_frames.plan_builds + warm_frames.plan_hits,
-        warm_fused.plan_builds,
-        warm_fused.plan_builds + warm_fused.plan_hits,
-        warm_frames.meter_samples_per_sec / warm.meter_samples_per_sec,
-        warm_fused.meter_samples_per_sec / warm.meter_samples_per_sec,
-        warm_fused.meter_samples_per_sec / COMMITTED_SCALAR_BASELINE,
+        frames.plan_builds,
+        frames.plan_builds + frames.plan_hits,
+        fused.plan_builds,
+        fused.plan_builds + fused.plan_hits,
+        frames.meter_samples_per_sec / scalar.meter_samples_per_sec,
+        fused.meter_samples_per_sec / scalar.meter_samples_per_sec,
+        fused.meter_samples_per_sec / COMMITTED_SCALAR_BASELINE,
     );
     println!(
         "fleet: {meters} meters, {} shards, {} contracts, {:.0} bytes/meter, \
          kernel reuse {:.4}%\n",
-        warm.shards,
-        warm.contracts,
-        warm.bytes_per_meter,
-        warm.kernel_reuse_rate() * 100.0
+        scalar.shards,
+        scalar.contracts,
+        scalar.bytes_per_meter,
+        scalar.kernel_reuse_rate() * 100.0
     );
 
     // Registration reuses each contract's kernel for all but its first
     // meter; anything else means fingerprint sharding broke.
     assert!(
-        warm.kernel_reuse_rate() > 0.99,
+        scalar.kernel_reuse_rate() > 0.99,
         "kernel reuse rate {:.4} below 0.99 — shards are not sharing kernels",
-        warm.kernel_reuse_rate()
+        scalar.kernel_reuse_rate()
     );
 
     let workload = serde_json::json!({
@@ -448,33 +420,28 @@ fn main() {
         "contracts": shapes.len(),
         "profile_classes": PROFILES,
     });
-    let cold_json = serde_json::json!({
-        "register_seconds": cold_reg_s,
-        "stream_seconds": cold_stream_s,
-        "meter_samples_per_sec": cold.meter_samples_per_sec,
-    });
-    let warm_json = serde_json::json!({
-        "register_seconds": warm_reg_s,
-        "stream_seconds": warm_stream_s,
-        "meter_samples_per_sec": warm.meter_samples_per_sec,
+    let scalar_json = serde_json::json!({
+        "register_seconds": scalar_reg_s,
+        "stream_seconds": scalar_stream_s,
+        "meter_samples_per_sec": scalar.meter_samples_per_sec,
     });
     let frames_json = serde_json::json!({
         "register_seconds": frames_reg_s,
         "stream_seconds": frames_stream_s,
-        "meter_samples_per_sec": warm_frames.meter_samples_per_sec,
-        "plan_builds": warm_frames.plan_builds,
-        "plan_hits": warm_frames.plan_hits,
+        "meter_samples_per_sec": frames.meter_samples_per_sec,
+        "plan_builds": frames.plan_builds,
+        "plan_hits": frames.plan_hits,
     });
     let fused_json = serde_json::json!({
         "register_seconds": fused_reg_s,
         "stream_seconds": fused_stream_s,
-        "meter_samples_per_sec": warm_fused.meter_samples_per_sec,
+        "meter_samples_per_sec": fused.meter_samples_per_sec,
         "window_ticks": WINDOW_TICKS,
-        "plan_builds": warm_fused.plan_builds,
-        "plan_hits": warm_fused.plan_hits,
-        "speedup_vs_warm_scalar": warm_fused.meter_samples_per_sec / warm.meter_samples_per_sec,
+        "plan_builds": fused.plan_builds,
+        "plan_hits": fused.plan_hits,
+        "speedup_vs_scalar": fused.meter_samples_per_sec / scalar.meter_samples_per_sec,
         "speedup_vs_committed_baseline":
-            warm_fused.meter_samples_per_sec / COMMITTED_SCALAR_BASELINE,
+            fused.meter_samples_per_sec / COMMITTED_SCALAR_BASELINE,
     });
     let env_json = serde_json::json!({
         "HPCGRID_FLEET_METERS": std::env::var("HPCGRID_FLEET_METERS").ok(),
@@ -483,13 +450,12 @@ fn main() {
     let json = serde_json::json!({
         "experiment": "fleet_throughput_baseline",
         "workload": workload,
-        "cold": cold_json,
-        "warm": warm_json,
-        "warm_frames": frames_json,
-        "warm_fused": fused_json,
-        "bytes_per_meter": warm.bytes_per_meter,
-        "kernel_reuse_rate": warm.kernel_reuse_rate(),
-        "shards": warm.shards,
+        "scalar": scalar_json,
+        "frames": frames_json,
+        "fused": fused_json,
+        "bytes_per_meter": scalar.bytes_per_meter,
+        "kernel_reuse_rate": scalar.kernel_reuse_rate(),
+        "shards": scalar.shards,
         "floor_meter_samples_per_sec": FLOOR_SAMPLES_PER_SEC,
         "batched_floor_meter_samples_per_sec": BATCHED_FLOOR_SAMPLES_PER_SEC,
         "env": env_json,
@@ -504,19 +470,19 @@ fn main() {
     // same passes unguarded so CI smoke still exercises every path.
     if cfg!(not(debug_assertions)) {
         assert!(
-            warm.meter_samples_per_sec >= FLOOR_SAMPLES_PER_SEC,
-            "warm throughput {:.0} meter-samples/s below the {FLOOR_SAMPLES_PER_SEC:.0} floor",
-            warm.meter_samples_per_sec
+            scalar.meter_samples_per_sec >= FLOOR_SAMPLES_PER_SEC,
+            "scalar throughput {:.0} meter-samples/s below the {FLOOR_SAMPLES_PER_SEC:.0} floor",
+            scalar.meter_samples_per_sec
         );
         // The batched/windowed floor holds at every fleet size — this is
         // the bar CI bench-smoke runs at HPCGRID_FLEET_METERS=10000.
         for (path, rate) in [
-            ("frames", warm_frames.meter_samples_per_sec),
-            ("fused", warm_fused.meter_samples_per_sec),
+            ("frames", frames.meter_samples_per_sec),
+            ("fused", fused.meter_samples_per_sec),
         ] {
             assert!(
                 rate >= BATCHED_FLOOR_SAMPLES_PER_SEC,
-                "warm {path} throughput {rate:.0} meter-samples/s below the \
+                "{path} throughput {rate:.0} meter-samples/s below the \
                  {BATCHED_FLOOR_SAMPLES_PER_SEC:.0} batched floor"
             );
         }
@@ -524,10 +490,10 @@ fn main() {
         // workload: fused ≥ 2.5x the pre-columnar scalar baseline.
         if meters >= DEFAULT_METERS {
             assert!(
-                warm_fused.meter_samples_per_sec >= FUSED_SPEEDUP_FLOOR * COMMITTED_SCALAR_BASELINE,
-                "fused warm throughput {:.0} meter-samples/s below {FUSED_SPEEDUP_FLOOR}x \
+                fused.meter_samples_per_sec >= FUSED_SPEEDUP_FLOOR * COMMITTED_SCALAR_BASELINE,
+                "fused throughput {:.0} meter-samples/s below {FUSED_SPEEDUP_FLOOR}x \
                  the committed {COMMITTED_SCALAR_BASELINE:.0} scalar baseline",
-                warm_fused.meter_samples_per_sec
+                fused.meter_samples_per_sec
             );
         }
     }

@@ -31,7 +31,7 @@ use std::time::Instant;
 /// A year horizon: the scale at which recompiling per amendment hurts.
 const HORIZON_DAYS: u64 = 365;
 
-/// The utility-shaped TOU schedule from the X4 baseline: month- and
+/// The utility-shaped TOU schedule from the X10 baseline: month- and
 /// weekday-filtered windows, so lowering it walks the calendar.
 fn tou_schedule() -> Tariff {
     Tariff::TimeOfUse(TouTariff {

@@ -1,26 +1,27 @@
 //! Streaming bill accrual: fold one sample at a time into a running bill.
 //!
-//! Every batch path in this crate — interpreted or compiled — is an O(n)
-//! replay over a *complete* load series. Utility-scale serving (millions of
-//! meters billed continuously) needs the dual: a per-meter state machine
-//! that folds one `(timestamp, Power)` sample in O(1) amortized and can
-//! close the books at any instant. [`BillAccrual`] is that machine.
+//! The interpreter is an O(n) replay over a *complete* load series.
+//! Utility-scale serving (millions of meters billed continuously) needs the
+//! dual: a per-meter state machine that folds one `(timestamp, Power)`
+//! sample in O(1) amortized and can close the books at any instant.
+//! [`BillAccrual`] is that machine, and the compiled kernel's batch bill is
+//! one fused run of it.
 //!
 //! # Bit-identity invariant
 //!
-//! `finalize()` after `k` pushes produces **bit for bit** the `Bill` that
-//! [`CompiledContract::bill_with_events`] produces for the first-`k`-samples
-//! series under [`Precision::BitExact`](crate::billing::Precision) — equal
-//! totals, equal line items,
-//! equal labels. This holds because every accumulator replicates the batch
-//! path's expression shape and summation order:
+//! This is the one compiled fold: [`CompiledContract::bill_with_events`] is
+//! a single [`BillAccrual::push_run`] over the whole load, then `finalize()`.
+//! So `finalize()` after `k` pushes is **bit for bit** the batch `Bill` of
+//! the first-`k`-samples series by construction, whether the samples came
+//! one [`BillAccrual::push_next`] at a time or in fused runs (invariant 8).
+//! Under [`Precision::BitExact`](crate::billing::Precision) that bill also
+//! equals the interpreter's — equal totals, equal line items, equal labels
+//! — because every accumulator replicates the interpreter's expression
+//! shape and summation order:
 //!
 //! * **Strip tariffs** accumulate `Σ kW·h·price` per sample in arrival
-//!   order, pricing through the kernel's segment timeline — replaying a
-//!   cached segment map prefix when one matches the stream's geometry
-//!   (the PR 4/5 machinery), and falling back to a monotone segment-cursor
-//!   advance otherwise. Both produce the same `f64` prices, so the fold is
-//!   identical either way.
+//!   order, pricing through the kernel's segment timeline with a monotone
+//!   segment cursor.
 //! * **Block tariffs** carry the current month's kWh bucket and fold closed
 //!   months through `BlockTariff::monthly_cost` chronologically.
 //! * **Demand charges** maintain the open month's metering chunk (the
@@ -33,9 +34,10 @@
 //!   windows** carry a running worst load per event window; the **service
 //!   fee** is a month-count off the shared boundary index at finalize.
 //!
-//! Verified by the `accrual_equivalence` property tests at every stream
-//! prefix, across all four tariff kinds, wrap-midnight TOU windows, and
-//! month-straddling streams.
+//! Verified by the `compiled_equivalence` property tests against the
+//! interpreter, and by the `accrual_equivalence` property tests at every
+//! stream prefix, across all four tariff kinds, wrap-midnight TOU windows,
+//! and month-straddling streams.
 //!
 //! # Mid-stream patches
 //!
@@ -58,7 +60,7 @@
 //! over the same stream.
 
 use crate::billing::{Bill, LineItem, Precision};
-use crate::compiled::{CompiledContract, LoweredTariff, SegmentMap};
+use crate::compiled::{CompiledContract, LoweredTariff};
 use crate::demand_charge::{DemandAssessment, DemandBasis, DemandCharge};
 use crate::typology::ContractComponentKind;
 use crate::{CoreError, Result};
@@ -67,25 +69,11 @@ use hpcgrid_units::{kernels, Duration, Energy, Money, Power, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Replay state for a cached segment map whose geometry prefixes the stream.
-#[derive(Debug, Clone)]
-struct MapReplay {
-    map: Arc<SegmentMap>,
-    /// Sample count the map's geometry covers.
-    len: u64,
-    /// Current run index.
-    run: usize,
-}
-
 /// Per-tariff accrual state, parallel to the kernel's tariff slots.
 #[derive(Debug, Clone)]
 enum TariffAccrual {
-    /// Fixed/TOU/dynamic: running dollars + segment cursor (+ map replay).
-    Strip {
-        dollars: f64,
-        seg: usize,
-        replay: Option<MapReplay>,
-    },
+    /// Fixed/TOU/dynamic: running dollars + segment cursor.
+    Strip { dollars: f64, seg: usize },
     /// Block: current month's kWh bucket + fold of closed months.
     Block {
         bi: usize,
@@ -120,7 +108,7 @@ impl PeakState {
             PeakState::TopK(cands) => {
                 // Insert after every candidate with a strictly greater or
                 // equal demand: equal demands keep arrival (chronological)
-                // order, exactly like the batch path's stable sort.
+                // order, exactly like the interpreter's stable sort.
                 let pos = cands.partition_point(|(_, c)| *c >= kw);
                 if pos < k {
                     cands.insert(pos, (chunk_idx, kw));
@@ -132,7 +120,7 @@ impl PeakState {
         }
     }
 
-    /// The month's raw billed demand in kW, summed in the batch path's
+    /// The month's raw billed demand in kW, summed in the interpreter's
     /// order. `None` if no chunk completed.
     fn billed_kw(&self) -> Option<f64> {
         match self {
@@ -171,7 +159,7 @@ struct DemandAccrual {
 
 impl DemandAccrual {
     /// Mean of a metering chunk, replicating `downsample_mean`: a factor-1
-    /// chunk is the raw sample (the batch path clones, it never divides).
+    /// chunk is the raw sample (the interpreter clones, it never divides).
     fn chunk_mean(&self) -> f64 {
         if self.factor == 1 {
             self.chunk_sum
@@ -190,6 +178,21 @@ impl DemandAccrual {
             self.chunk_count = 0;
             self.chunk_idx += 1;
         }
+    }
+
+    /// Fold a run of samples under identity metering (one sample per
+    /// chunk, max basis) as one lane max. `feed` observes `0.0 + kw`, which
+    /// maps −0.0 to +0.0 and leaves every other value as it is; `max` is
+    /// order-free over those values, and both folds skip a NaN that sits
+    /// beside a number. So this is bit-equal to feeding `kws` one by one,
+    /// except on an all-NaN run with no prior peak.
+    fn feed_max_run(&mut self, kws: &[f64]) {
+        let PeakState::Max(m) = &mut self.peak else {
+            unreachable!("identity metering bills a max basis");
+        };
+        let peak = 0.0 + kernels::max_lanes(kws);
+        *m = Some(m.map_or(peak, |c| c.max(peak)));
+        self.chunk_idx += kws.len() as u64;
     }
 
     /// Assessment of the open month without mutating state (used both by
@@ -285,7 +288,7 @@ pub struct BillAccrual {
     start: u64,
     /// Sample step, in seconds.
     step: u64,
-    /// Step width in hours — the batch path's `load.step().as_hours()`.
+    /// Step width in hours — the interpreter's `load.step().as_hours()`.
     step_h: f64,
     /// Samples folded so far.
     n: u64,
@@ -350,8 +353,8 @@ impl BillAccrual {
     ///
     /// Errors if `step` is zero, `start` lies outside the kernel's compile
     /// horizon, or the kernel's demand interval is incompatible with `step`
-    /// (coarser but not an integer multiple — the same geometry the batch
-    /// path rejects per bill, rejected here once).
+    /// (coarser but not an integer multiple — the same geometry the
+    /// interpreter rejects per bill, rejected here once).
     pub fn new(
         kernel: Arc<CompiledContract>,
         start: SimTime,
@@ -387,11 +390,6 @@ impl BillAccrual {
                 LoweredTariff::Strip(tl) => TariffAccrual::Strip {
                     dollars: 0.0,
                     seg: tl.breaks.partition_point(|b| *b <= s0) - 1,
-                    replay: tl.prefix_map(s0, step_s).map(|(map, len)| MapReplay {
-                        map,
-                        len: len as u64,
-                        run: 0,
-                    }),
                 },
                 LoweredTariff::Block(_) => TariffAccrual::Block {
                     bi: kernel.boundary_after(s0),
@@ -525,37 +523,14 @@ impl BillAccrual {
 
         for (slot, state) in self.kernel.tariffs.iter().zip(self.tariffs.iter_mut()) {
             match state {
-                TariffAccrual::Strip {
-                    dollars,
-                    seg,
-                    replay,
-                } => {
+                TariffAccrual::Strip { dollars, seg } => {
                     let tl = match &slot.lowered {
                         LoweredTariff::Strip(tl) => tl,
                         LoweredTariff::Block(_) => unreachable!("strip state on block slot"),
                     };
-                    let price = match replay {
-                        Some(rep) if i < rep.len => {
-                            while rep.map.runs[rep.run].0 as u64 <= i {
-                                rep.run += 1;
-                            }
-                            rep.map.runs[rep.run].1
-                        }
-                        Some(rep) => {
-                            // Map exhausted: resume cursor advance from the
-                            // map's final segment.
-                            *seg = rep.map.last_seg;
-                            *replay = None;
-                            advance_seg(seg, &tl.breaks, t);
-                            tl.prices[*seg]
-                        }
-                        None => {
-                            advance_seg(seg, &tl.breaks, t);
-                            tl.prices[*seg]
-                        }
-                    };
-                    // The batch fold's exact expression and order.
-                    *dollars += kw * self.step_h * price;
+                    advance_seg(seg, &tl.breaks, t);
+                    // The interpreter's exact expression and order.
+                    *dollars += kw * self.step_h * tl.prices[*seg];
                 }
                 TariffAccrual::Block {
                     bi,
@@ -632,10 +607,12 @@ impl BillAccrual {
     /// built for the fleet's windowed tick path
     /// ([`MeterFleet::advance_window`](crate::fleet::MeterFleet::advance_window)).
     ///
-    /// Fusing keeps the segment cursor, map-replay position, and month
-    /// cursors hot across the whole run: price/boundary lookups happen once
-    /// per *run segment* instead of once per sample, and the inner loops
-    /// are tight multiply-adds over the contiguous power slice.
+    /// Fusing keeps the segment and month cursors hot across the whole run:
+    /// price/boundary lookups happen once per *run segment* instead of once
+    /// per sample, the inner loops are tight multiply-adds over the
+    /// contiguous power slice, and under identity metering each month's
+    /// demand peak is one lane max. [`CompiledContract::bill_with_events`]
+    /// is one `push_run` over the whole load.
     ///
     /// # Equivalence contract
     ///
@@ -643,10 +620,12 @@ impl BillAccrual {
     /// `push_run(powers)` is **bit-identical** to the state after
     /// `powers.len()` sequential `push_next` calls: every accumulator sees
     /// the same per-sample `f64` expressions in the same order — only
-    /// cursor bookkeeping is hoisted out of the inner loops. Under a
-    /// [`Precision::Fast`] kernel, constant-price runs fold through the
-    /// 8-lane pairwise kernels in [`hpcgrid_units::kernels`] instead,
-    /// within the fast path's documented 1e-12 relative tolerance.
+    /// cursor bookkeeping is hoisted out of the inner loops, and a lane max
+    /// replaces per-sample peak updates only where it is bit-equal (see
+    /// `feed_max_run`). Under a [`Precision::Fast`] kernel, constant-price
+    /// runs fold through the 8-lane pairwise kernels in
+    /// [`hpcgrid_units::kernels`] instead, within the fast path's documented
+    /// 1e-12 relative tolerance.
     ///
     /// Error behaviour is per-sample-identical too: a run crossing the
     /// compile horizon applies the fitting prefix and then returns exactly
@@ -703,11 +682,7 @@ impl BillAccrual {
 
         for (slot, state) in self.kernel.tariffs.iter().zip(self.tariffs.iter_mut()) {
             match state {
-                TariffAccrual::Strip {
-                    dollars,
-                    seg,
-                    replay,
-                } => {
+                TariffAccrual::Strip { dollars, seg } => {
                     let tl = match &slot.lowered {
                         LoweredTariff::Strip(tl) => tl,
                         LoweredTariff::Block(_) => unreachable!("strip state on block slot"),
@@ -715,31 +690,13 @@ impl BillAccrual {
                     let mut acc = *dollars;
                     let mut j = 0u64;
                     while j < len {
-                        let g = g0 + j;
-                        // The price in force at sample `g` and the global
-                        // index its constant-price run extends to.
-                        let (price, g_end) = if let Some(rep) = replay.as_mut() {
-                            if g < rep.len {
-                                while rep.map.runs[rep.run].0 as u64 <= g {
-                                    rep.run += 1;
-                                }
-                                let (run_end, price) = rep.map.runs[rep.run];
-                                (price, (run_end as u64).min(rep.len))
-                            } else {
-                                // Map exhausted: resume cursor advance from
-                                // the map's final segment (push_next's
-                                // exhaustion path), then re-enter the loop.
-                                *seg = rep.map.last_seg;
-                                *replay = None;
-                                continue;
-                            }
-                        } else {
-                            advance_seg(seg, &tl.breaks, start + g * step);
-                            let g_end = match tl.breaks.get(*seg + 1) {
-                                Some(&b) => (b - start).div_ceil(step),
-                                None => u64::MAX,
-                            };
-                            (tl.prices[*seg], g_end)
+                        // The price in force at sample `g0 + j` and the
+                        // global index its constant-price run extends to.
+                        advance_seg(seg, &tl.breaks, start + (g0 + j) * step);
+                        let price = tl.prices[*seg];
+                        let g_end = match tl.breaks.get(*seg + 1) {
+                            Some(&b) => (b - start).div_ceil(step),
+                            None => u64::MAX,
                         };
                         let j_end = (g_end - g0).min(len);
                         let chunk = &kws[j as usize..j_end as usize];
@@ -796,6 +753,7 @@ impl BillAccrual {
         }
 
         if let (Some(d), Some(dc)) = (self.demand.as_mut(), self.kernel.demand_charge.as_ref()) {
+            let lane_max = dc.metering_is_identity(Duration::from_secs(step));
             let mut j = 0u64;
             while j < len {
                 let t = start + (g0 + j) * step;
@@ -826,8 +784,13 @@ impl BillAccrual {
                     Some(&nb) => ((nb - start).div_ceil(step) - g0).min(len),
                     None => len,
                 };
-                for &kw in &kws[j as usize..j_end as usize] {
-                    d.feed(dc, kw);
+                let chunk = &kws[j as usize..j_end as usize];
+                if lane_max {
+                    d.feed_max_run(chunk);
+                } else {
+                    for &kw in chunk {
+                        d.feed(dc, kw);
+                    }
                 }
                 j = j_end;
             }
@@ -1221,20 +1184,11 @@ impl BillAccrual {
             .zip(&kernel.tariffs)
         {
             match (state, s) {
-                (
-                    TariffAccrual::Strip {
-                        dollars,
-                        seg,
-                        replay,
-                    },
-                    TariffSnapshot::Strip(d),
-                ) => {
+                (TariffAccrual::Strip { dollars, seg }, TariffSnapshot::Strip(d)) => {
                     *dollars = *d;
                     // Cursor positions re-derive from the grid: re-seek to
                     // the segment of the last pushed sample; push_next then
-                    // advances monotonically from there. No map replay on
-                    // restore — the cursor path is bit-identical anyway.
-                    *replay = None;
+                    // advances monotonically from there.
                     if caught_up {
                         if let LoweredTariff::Strip(tl) = &slot.lowered {
                             *seg = tl.breaks.partition_point(|b| *b <= t_last) - 1;

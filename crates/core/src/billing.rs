@@ -328,9 +328,8 @@ impl BillingEngine {
             return Err(CoreError::BadSeries("load series is empty".into()));
         }
         if self.precision == Precision::Fast {
-            // The fast kernels live on the compiled representation; a
-            // one-load horizon compiles in microseconds and the segment-map
-            // cache makes repeat bills of the same geometry cheaper still.
+            // The fast kernels live on the compiled fold; a one-load
+            // horizon compiles in microseconds.
             return self
                 .compile(contract, load.start(), load.end())?
                 .bill_with_events(load, events);

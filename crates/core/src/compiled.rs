@@ -16,6 +16,10 @@
 //!   horizon, shared by demand-charge bucketing, block-tariff bucketing, and
 //!   the service-fee month count.
 //!
+//! A batch bill is the streaming fold run once: [`CompiledContract::bill`]
+//! feeds the whole load to one [`BillAccrual::push_run`] and finalizes, so
+//! a batch bill and a streamed bill are the same code.
+//!
 //! # Incremental recompilation
 //!
 //! Each lowered tariff is an independent **piece** held behind an [`Arc`] and
@@ -48,19 +52,15 @@
 //! [`Precision::Fast`] opts into the vectorized kernels from
 //! `hpcgrid_units::kernels`: 8-lane pairwise summation for energy costs and
 //! block-tariff buckets (within a `1e-12` relative tolerance of the exact
-//! path for horizons up to a year; property-tested in `fast_equivalence`),
-//! and a branchless lane-max demand scan that is *bit-equal* to the exact
-//! peak whenever the demand interval is no coarser than the load's step.
-//! Both modes route through a reusable **segment map** — the
-//! segment→sample-range index for a load geometry `(start, step, len)`,
-//! cached per timeline and shared across `bill_many`/sweep revisions (and,
-//! via `Arc`-shared pieces, across `patch`/`with_price_strip`), so repeated
-//! bills of one geometry skip the `partition_point`/`div_ceil` merge
-//! entirely.
+//! path for horizons up to a year; property-tested in `fast_equivalence`).
+//! Both modes take a month's demand peak as one lane max when metering is
+//! the identity, which is *bit-equal* to the per-sample peak (see
+//! [`BillAccrual::push_run`]).
 
-use crate::billing::{Bill, LineItem, Precision};
+use crate::accrual::BillAccrual;
+use crate::billing::{Bill, Precision};
 use crate::contract::{Contract, ContractDelta};
-use crate::demand_charge::{DemandAssessment, DemandCharge};
+use crate::demand_charge::DemandCharge;
 use crate::emergency::EmergencyDrClause;
 use crate::fingerprint::{self, ComponentFingerprint};
 use crate::powerband::Powerband;
@@ -70,159 +70,19 @@ use crate::{CoreError, Result};
 use hpcgrid_timeseries::intervals::IntervalSet;
 use hpcgrid_timeseries::series::{PowerSeries, PriceSeries};
 use hpcgrid_units::time::SECS_PER_DAY;
-use hpcgrid_units::{kernels, Calendar, EnergyPrice, Money, Power, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// The sample geometry of a load series — everything the segment→sample
-/// mapping of a [`PriceTimeline`] depends on. Two loads with the same
-/// geometry (start, step, length) share one [`SegmentMap`] regardless of
-/// their power values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SampleGeometry {
-    start: u64,
-    step: u64,
-    len: usize,
-}
-
-impl SampleGeometry {
-    /// Start time of the sample one past the end of this geometry — the
-    /// sample a one-step extension would add.
-    fn next_sample_start(&self) -> u64 {
-        self.start + self.len as u64 * self.step
-    }
-}
-
-impl SampleGeometry {
-    fn of(load: &PowerSeries) -> SampleGeometry {
-        SampleGeometry {
-            start: load.start().as_secs(),
-            step: load.step().as_secs(),
-            len: load.len(),
-        }
-    }
-}
-
-/// The segment→sample-range index for one load geometry: run `k` covers
-/// sample indexes `[runs[k-1].0, runs[k].0)` at `runs[k].1` dollars per kWh
-/// (the first run starts at 0). Zero-length segments (shorter than one
-/// sample step) are dropped — they price no samples. Replaying the runs
-/// makes the same per-sample multiply-adds in the same order as the direct
-/// merge, so routing the bit-exact path through a map changes nothing.
-#[derive(Debug)]
-pub(crate) struct SegmentMap {
-    pub(crate) runs: Vec<(usize, f64)>,
-    /// Timeline segment index in force at the map's final sample: where a
-    /// one-step extension must stay ([`SegmentMap::extendable_by`]) and
-    /// where cursor-mode evaluation resumes when a stream outgrows the map.
-    pub(crate) last_seg: usize,
-}
-
-impl SegmentMap {
-    /// True if appending one sample starting at `t_new` keeps the map's
-    /// final segment in force — the cheap check that lets a cached map grow
-    /// by one step instead of missing. `breaks` must be the timeline this
-    /// map was built against.
-    pub(crate) fn extendable_by(&self, breaks: &[u64], t_new: u64) -> bool {
-        !self.runs.is_empty()
-            && match breaks.get(self.last_seg + 1) {
-                Some(&b) => t_new < b,
-                None => true,
-            }
-    }
-}
-
-/// Upper bound on cached geometries per timeline. Sweeps bill one or a few
-/// geometries thousands of times; 16 covers every workload in the repo while
-/// bounding memory for adversarial geometry churn (oldest entry evicted).
-const SEGMENT_MAP_CACHE_CAP: usize = 16;
-
-/// One immutable cache snapshot: geometry-keyed segment maps in insertion
-/// order (oldest first, for capacity eviction).
-type MapEntries = Vec<(SampleGeometry, Arc<SegmentMap>)>;
-
-/// Per-timeline cache of [`SegmentMap`]s keyed by [`SampleGeometry`], with
-/// hit/miss counters for bench observability. The cache is *derived* state:
-/// it never participates in equality, and cloning a timeline starts a fresh
-/// (empty) cache. Because compiled tariff pieces are shared behind [`Arc`],
-/// the cache survives [`CompiledContract::patch`]/`with_price_strip` for
-/// every piece the patch does not re-lower.
-///
-/// The entry list is a read-mostly copy-on-write snapshot: readers clone
-/// one `Arc` under a briefly-held read lock and then search lock-free,
-/// writers rebuild the (≤[`SEGMENT_MAP_CACHE_CAP`]-entry) list and swap the
-/// `Arc` under the write lock. Million-meter fleet shards sharing one
-/// kernel therefore never serialize on the steady-state lookup — the old
-/// `Mutex` design made every concurrent bill queue behind a single lock.
-/// The published snapshot is always whole (the swap is one `Arc` store), so
-/// a panicking writer cannot tear it; poisoned locks are simply recovered.
-/// The one trade: a cold geometry hit by many workers at once may be built
-/// more than once, with [`SegmentMapCache::publish`] deduplicating to a
-/// single winner — bounded, one-time work, in exchange for a contention-free
-/// hot path.
-#[derive(Debug, Default)]
-struct SegmentMapCache {
-    entries: RwLock<Arc<MapEntries>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SegmentMapCache {
-    /// The current entry snapshot: one `Arc` clone under the read lock,
-    /// searched lock-free afterwards.
-    fn snapshot(&self) -> Arc<MapEntries> {
-        Arc::clone(&self.entries.read().unwrap_or_else(|p| p.into_inner()))
-    }
-
-    /// Publish `map` for `geom` copy-on-write, evicting the oldest entry at
-    /// capacity. If another worker raced the build and published first,
-    /// theirs wins and is returned — all callers share one map per
-    /// geometry.
-    fn publish(&self, geom: SampleGeometry, map: Arc<SegmentMap>) -> Arc<SegmentMap> {
-        let mut guard = self.entries.write().unwrap_or_else(|p| p.into_inner());
-        if let Some((_, existing)) = guard.iter().find(|(g, _)| *g == geom) {
-            return Arc::clone(existing);
-        }
-        let mut next: MapEntries = guard.iter().cloned().collect();
-        if next.len() >= SEGMENT_MAP_CACHE_CAP {
-            next.remove(0);
-        }
-        next.push((geom, Arc::clone(&map)));
-        *guard = Arc::new(next);
-        map
-    }
-}
+use hpcgrid_units::{Calendar, Duration, Money, Power, SimTime};
+use std::sync::Arc;
 
 /// A piecewise-constant price timeline: segment `i` covers
 /// `[breaks[i], breaks[i+1])` (the last segment extends to the compile
 /// horizon's end) at `prices[i]` dollars per kWh. Adjacent segments with
 /// bitwise-equal prices are merged at compile time.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceTimeline {
     /// Segment start times in seconds; `breaks[0]` is the horizon start.
     pub(crate) breaks: Vec<u64>,
     /// Segment prices in `$ / kWh`, one per break.
     pub(crate) prices: Vec<f64>,
-    /// Reusable segment→sample-range maps, keyed by load geometry.
-    maps: SegmentMapCache,
-}
-
-impl Clone for PriceTimeline {
-    fn clone(&self) -> PriceTimeline {
-        PriceTimeline {
-            breaks: self.breaks.clone(),
-            prices: self.prices.clone(),
-            maps: SegmentMapCache::default(),
-        }
-    }
-}
-
-/// Equality is over the priced segments alone; the segment-map cache is
-/// derived state and never observable through billing.
-impl PartialEq for PriceTimeline {
-    fn eq(&self, other: &PriceTimeline) -> bool {
-        self.breaks == other.breaks && self.prices == other.prices
-    }
 }
 
 impl PriceTimeline {
@@ -279,11 +139,7 @@ impl PriceTimeline {
                 prices.push(p);
             }
         }
-        PriceTimeline {
-            breaks,
-            prices,
-            maps: SegmentMapCache::default(),
-        }
+        PriceTimeline { breaks, prices }
     }
 
     /// Lower a dynamic tariff's markup/fallback logic into the strip
@@ -322,148 +178,12 @@ impl PriceTimeline {
             &mut breaks,
             &mut prices,
         );
-        PriceTimeline {
-            breaks,
-            prices,
-            maps: SegmentMapCache::default(),
-        }
+        PriceTimeline { breaks, prices }
     }
 
     /// Number of price segments.
     pub fn segments(&self) -> usize {
         self.prices.len()
-    }
-
-    /// Build the segment→sample-range index for one geometry: the same
-    /// `partition_point` + `div_ceil` merge the direct cost loop performed
-    /// per bill, done once and replayed thereafter. Prices are embedded in
-    /// the runs, so replaying cannot skew segment indexes.
-    fn build_map(&self, geom: SampleGeometry) -> SegmentMap {
-        let SampleGeometry {
-            start: t0,
-            step,
-            len,
-        } = geom;
-        let mut runs = Vec::new();
-        // Segment covering the first sample: breaks[seg] <= t0 < breaks[seg+1]
-        // (breaks[0] is the horizon start, which bounds the load from below).
-        let mut seg = self.breaks.partition_point(|b| *b <= t0) - 1;
-        let mut last_seg = seg;
-        let mut i = 0usize;
-        while i < len {
-            // Sample `j` (at t0 + j·step) lies in this segment while its time
-            // is below the next break.
-            let i_end = match self.breaks.get(seg + 1) {
-                Some(&b) => ((b - t0).div_ceil(step) as usize).min(len),
-                None => len,
-            };
-            if i_end > i {
-                runs.push((i_end, self.prices[seg]));
-                last_seg = seg;
-            }
-            i = i_end;
-            seg += 1;
-        }
-        SegmentMap { runs, last_seg }
-    }
-
-    /// The cached [`SegmentMap`] for `load`'s geometry, built on first use.
-    /// The steady-state hit is a lock-free snapshot search; concurrent
-    /// workers racing one cold geometry may build it more than once, with
-    /// [`SegmentMapCache::publish`] deduplicating to a single winner.
-    fn map_for(&self, load: &PowerSeries) -> Arc<SegmentMap> {
-        let geom = SampleGeometry::of(load);
-        let entries = self.maps.snapshot();
-        if let Some((_, map)) = entries.iter().find(|(g, _)| *g == geom) {
-            self.maps.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(map);
-        }
-        // One-step growth of a cached geometry: if the appended sample stays
-        // inside the old map's final segment, extend the map (O(runs) clone)
-        // instead of redoing the full `partition_point`/`div_ceil` merge.
-        // Counts as a hit — the merge was skipped.
-        if geom.len >= 1 {
-            let shorter = SampleGeometry {
-                len: geom.len - 1,
-                ..geom
-            };
-            if let Some((_, map)) = entries.iter().find(|(g, _)| *g == shorter) {
-                if map.extendable_by(&self.breaks, shorter.next_sample_start()) {
-                    let mut runs = map.runs.clone();
-                    runs.last_mut().expect("extendable map has runs").0 += 1;
-                    let grown = Arc::new(SegmentMap {
-                        runs,
-                        last_seg: map.last_seg,
-                    });
-                    self.maps.hits.fetch_add(1, Ordering::Relaxed);
-                    return self.maps.publish(geom, grown);
-                }
-            }
-        }
-        self.maps.misses.fetch_add(1, Ordering::Relaxed);
-        let map = Arc::new(self.build_map(geom));
-        self.maps.publish(geom, map)
-    }
-
-    /// The longest cached map sharing `(start, step)` with a stream anchored
-    /// at `start` — the geometry-known fast path for accrual: a cached map's
-    /// prefix prices the stream's first `len` samples with the exact `f64`s
-    /// cursor advance would produce. Returns the map and its geometry
-    /// length; does not touch hit/miss counters (nothing was built or
-    /// skipped yet).
-    pub(crate) fn prefix_map(&self, start: u64, step: u64) -> Option<(Arc<SegmentMap>, usize)> {
-        let entries = self.maps.snapshot();
-        entries
-            .iter()
-            .filter(|(g, _)| g.start == start && g.step == step)
-            .max_by_key(|(g, _)| g.len)
-            .map(|(g, m)| (Arc::clone(m), g.len))
-    }
-
-    /// `(hits, misses)` of this timeline's segment-map cache.
-    fn map_stats(&self) -> (u64, u64) {
-        (
-            self.maps.hits.load(Ordering::Relaxed),
-            self.maps.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Energy cost of a load: replay the cached segment map over the sample
-    /// sequence. Replicates `PowerSeries::cost_against` exactly —
-    /// `Σ v[i]·h·price`, accumulated in sample order — so the result is
-    /// bit-identical to the interpreted path.
-    fn cost(&self, load: &PowerSeries) -> Money {
-        let map = self.map_for(load);
-        let h = load.step().as_hours();
-        let values = load.values();
-        let mut dollars = 0.0f64;
-        let mut i = 0usize;
-        for &(end, price) in &map.runs {
-            for p in &values[i..end] {
-                dollars += p.as_kilowatts() * h * price;
-            }
-            i = end;
-        }
-        Money::from_dollars(dollars)
-    }
-
-    /// Energy cost via the vectorized fast path: each run is reduced with
-    /// 8-lane pairwise summation and scaled by `h·price` once, and the
-    /// per-run totals are pairwise-summed in turn. Within a `1e-12` relative
-    /// tolerance of [`PriceTimeline::cost`] for horizons up to a year (the
-    /// pairwise tree error is `O(log n)` rounding terms over same-sign
-    /// addends).
-    fn cost_fast(&self, load: &PowerSeries) -> Money {
-        let map = self.map_for(load);
-        let h = load.step().as_hours();
-        let kw = Power::kilowatts_slice(load.values());
-        let mut run_totals = Vec::with_capacity(map.runs.len());
-        let mut i = 0usize;
-        for &(end, price) in &map.runs {
-            run_totals.push(kernels::sum_pairwise(&kw[i..end]) * (h * price));
-            i = end;
-        }
-        Money::from_dollars(kernels::sum_pairwise(&run_totals))
     }
 }
 
@@ -565,8 +285,8 @@ pub struct CompiledContract {
     /// Billing-month index of `start`.
     pub(crate) first_month: u64,
     /// Month-start midnights strictly inside `(start, end)`, in seconds.
-    /// Shared behind `Arc` so a [`MonthCursor`] (and every streaming accrual
-    /// holding one) costs a pointer, not a copy.
+    /// Shared behind `Arc`, so cloning a kernel copies a pointer, not the
+    /// index.
     pub(crate) month_starts: Arc<[u64]>,
     pub(crate) tariffs: Vec<Arc<CompiledTariff>>,
     pub(crate) demand_charge: Option<DemandCharge>,
@@ -633,8 +353,7 @@ impl CompiledContract {
     }
 
     /// The same kernel evaluating at an explicit [`Precision`]. Lowered
-    /// pieces (and their segment-map caches) are shared with `self`, so
-    /// switching precision costs nothing.
+    /// pieces are shared with `self`, so switching precision costs nothing.
     pub fn with_precision(mut self, precision: Precision) -> CompiledContract {
         self.precision = precision;
         self
@@ -645,22 +364,11 @@ impl CompiledContract {
         self.precision
     }
 
-    /// Aggregate `(hits, misses)` of the per-timeline segment-map caches.
-    /// Hits are bills that skipped the `partition_point`/`div_ceil` segment
-    /// merge entirely by reusing a cached geometry map. Patched kernels
-    /// share unchanged pieces by `Arc`, so their cache stats (like the maps
-    /// themselves) carry across [`CompiledContract::patch`].
+    /// Always `(0, 0)`: kernels keep no per-geometry segment-map cache, so
+    /// there are no hits or misses to count. Kept because the benchmark
+    /// package reports it as `compiled.segment_map_hit_rate`.
     pub fn segment_map_stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for t in &self.tariffs {
-            if let LoweredTariff::Strip(timeline) = &t.lowered {
-                let (h, m) = timeline.map_stats();
-                hits += h;
-                misses += m;
-            }
-        }
-        (hits, misses)
+        (0, 0)
     }
 
     /// Re-lower only the component changed by `delta`, sharing every other
@@ -924,204 +632,6 @@ impl CompiledContract {
         &self.name
     }
 
-    /// A monotone price cursor over tariff `index`'s lowered segment
-    /// timeline — the public form of the kernel's internal breakpoints, so
-    /// streaming consumers ([`crate::accrual::BillAccrual`]) never re-derive
-    /// them. Errors if `index` is out of range or names a block tariff
-    /// (block pricing depends on cumulative monthly volume, not time, so it
-    /// has no strip timeline).
-    pub fn segment_cursor(&self, index: usize) -> Result<SegmentCursor> {
-        let piece = self.tariffs.get(index).ok_or_else(|| {
-            CoreError::BadComponent(format!(
-                "tariff index {index} out of range (contract has {} tariffs)",
-                self.tariffs.len()
-            ))
-        })?;
-        match &piece.lowered {
-            LoweredTariff::Strip(_) => Ok(SegmentCursor {
-                piece: Arc::clone(piece),
-                seg: 0,
-            }),
-            LoweredTariff::Block(_) => Err(CoreError::BadComponent(format!(
-                "tariff #{index} is a block tariff; block pricing has no segment timeline"
-            ))),
-        }
-    }
-
-    /// A cursor over the kernel's month-boundary index — billing-month
-    /// lookups without re-deriving calendar facts. Cheap to clone per meter:
-    /// the boundary array is shared behind `Arc`.
-    pub fn month_cursor(&self) -> MonthCursor {
-        MonthCursor {
-            starts: Arc::clone(&self.month_starts),
-            first_month: self.first_month,
-            bi: 0,
-        }
-    }
-
-    fn check_in_horizon(&self, load: &PowerSeries) -> Result<()> {
-        if load.start() < self.start || load.end() > self.end {
-            return Err(CoreError::BadSeries(format!(
-                "load [{}, {}) is outside the compiled horizon [{}, {})",
-                load.start(),
-                load.end(),
-                self.start,
-                self.end
-            )));
-        }
-        Ok(())
-    }
-
-    /// Demand-charge assessment through the month-boundary index; produces
-    /// the same `(cursor, boundary)` slices as `DemandCharge::assess`.
-    fn assess_demand(
-        &self,
-        dc: &DemandCharge,
-        load: &PowerSeries,
-    ) -> Result<Vec<DemandAssessment>> {
-        let mut out = Vec::new();
-        let mut cursor = load.start();
-        let end = load.end();
-        let mut bi = self.boundary_after(cursor.as_secs());
-        let mut month = self.first_month + bi as u64;
-        while cursor < end {
-            let boundary = match self.month_starts.get(bi) {
-                Some(&b) => SimTime::from_secs(b).min(end),
-                None => end,
-            };
-            let slice = load.slice_time(cursor, boundary);
-            if !slice.is_empty() {
-                let billed = dc.billed_demand(&slice)?;
-                out.push(DemandAssessment {
-                    month,
-                    billed_demand: billed,
-                    charge: billed * dc.price,
-                });
-            }
-            cursor = boundary;
-            bi += 1;
-            month += 1;
-        }
-        Ok(out)
-    }
-
-    /// Fast demand-charge assessment: a branchless lane-max scan per billing
-    /// month over the raw sample slice. Applies only when metering is an
-    /// identity ([`DemandCharge::metering_is_identity`]); then the billed
-    /// peak is *bit-equal* to [`CompiledContract::assess_demand`] because
-    /// `f64::max` is associative over finite values. The month sample
-    /// ranges replicate `Series::slice_time` exactly — floor start index,
-    /// ceil end index — including its one-sample overlap at month boundaries
-    /// that are not step-aligned.
-    fn assess_demand_fast(&self, dc: &DemandCharge, load: &PowerSeries) -> Vec<DemandAssessment> {
-        let kw = Power::kilowatts_slice(load.values());
-        let t0 = load.start().as_secs();
-        let step = load.step().as_secs();
-        let len = load.len();
-        let mut out = Vec::new();
-        let mut cursor = load.start();
-        let end = load.end();
-        let mut bi = self.boundary_after(cursor.as_secs());
-        let mut month = self.first_month + bi as u64;
-        while cursor < end {
-            let boundary = match self.month_starts.get(bi) {
-                Some(&b) => SimTime::from_secs(b).min(end),
-                None => end,
-            };
-            let i0 = ((cursor.as_secs() - t0) / step) as usize;
-            let i1 = ((boundary.as_secs() - t0).div_ceil(step) as usize).min(len);
-            if i1 > i0 {
-                let peak = Power::from_kilowatts(kernels::max_lanes(&kw[i0..i1]));
-                let billed = dc.apply_floor(peak);
-                out.push(DemandAssessment {
-                    month,
-                    billed_demand: billed,
-                    charge: billed * dc.price,
-                });
-            }
-            cursor = boundary;
-            bi += 1;
-            month += 1;
-        }
-        out
-    }
-
-    /// Block-tariff cost through the month-boundary index. Replicates the
-    /// interpreter's per-month accumulation (a `BTreeMap` filled in time
-    /// order) as a cursor walk: same adds in the same order, months with no
-    /// samples contribute nothing, monthly costs folded chronologically.
-    fn block_cost(&self, b: &BlockTariff, load: &PowerSeries) -> Money {
-        let step_h = load.step().as_hours();
-        let step = load.step().as_secs();
-        let mut t = load.start().as_secs();
-        let mut bi = self.boundary_after(t);
-        let mut monthly: Vec<f64> = Vec::new();
-        let mut cur = 0.0f64;
-        let mut have = false;
-        for p in load.values() {
-            while bi < self.month_starts.len() && self.month_starts[bi] <= t {
-                bi += 1;
-                if have {
-                    monthly.push(cur);
-                    cur = 0.0;
-                    have = false;
-                }
-            }
-            cur += p.as_kilowatts() * step_h;
-            have = true;
-            t += step;
-        }
-        if have {
-            monthly.push(cur);
-        }
-        monthly
-            .iter()
-            .map(|kwh| b.monthly_cost(*kwh))
-            .fold(Money::ZERO, |a, m| a + m)
-    }
-
-    /// Fast block-tariff cost: each billing month's kWh is an 8-lane
-    /// pairwise sum scaled by the step width once, folded through
-    /// `monthly_cost` chronologically. A sample belongs to the month its
-    /// *start* lies in (month ranges do NOT overlap — unlike the demand
-    /// slices), matching the interpreter's bucketing. `monthly_cost` is
-    /// continuous piecewise-linear in kWh, so the pairwise perturbation of
-    /// each bucket propagates within the documented `1e-12` relative
-    /// tolerance.
-    fn block_cost_fast(&self, b: &BlockTariff, load: &PowerSeries) -> Money {
-        let kw = Power::kilowatts_slice(load.values());
-        let step_h = load.step().as_hours();
-        let step = load.step().as_secs();
-        let t0 = load.start().as_secs();
-        let len = load.len();
-        let mut total = Money::ZERO;
-        let mut i = 0usize;
-        let mut bi = self.boundary_after(t0);
-        while i < len {
-            // Samples whose start time is below the boundary: strict `<`,
-            // so the exclusive end index is ceil((boundary - t0) / step).
-            let i_end = match self.month_starts.get(bi) {
-                Some(&bnd) => ((bnd - t0).div_ceil(step) as usize).min(len),
-                None => len,
-            };
-            bi += 1;
-            if i_end > i {
-                let kwh = kernels::sum_pairwise(&kw[i..i_end]) * step_h;
-                total += b.monthly_cost(kwh);
-                i = i_end;
-            }
-        }
-        total
-    }
-
-    /// Billing months touched by `load` (for the service fee), from the
-    /// boundary index alone.
-    fn months_covered(&self, load: &PowerSeries) -> u64 {
-        let first = self.boundary_after(load.start().as_secs());
-        let last = self.boundary_after(load.end().as_secs() - 1);
-        (last - first) as u64 + 1
-    }
-
     /// Bill a load (no emergency events).
     pub fn bill(&self, load: &PowerSeries) -> Result<Bill> {
         self.bill_with_events(load, &IntervalSet::empty())
@@ -1133,191 +643,36 @@ impl CompiledContract {
         if load.is_empty() {
             return Err(CoreError::BadSeries("load series is empty".into()));
         }
-        self.check_in_horizon(load)?;
-        let fast = self.precision == Precision::Fast;
-        let mut items = Vec::new();
-        for (i, ct) in self.tariffs.iter().enumerate() {
-            let amount = match (&ct.lowered, fast) {
-                (LoweredTariff::Strip(timeline), false) => timeline.cost(load),
-                (LoweredTariff::Strip(timeline), true) => timeline.cost_fast(load),
-                (LoweredTariff::Block(b), false) => self.block_cost(b, load),
-                (LoweredTariff::Block(b), true) => self.block_cost_fast(b, load),
-            };
-            items.push(LineItem {
-                label: format!("{} tariff #{}", ct.kind().label(), i + 1),
-                kind: Some(ct.kind()),
-                amount,
-            });
+        CompiledContract::bill_run(
+            Arc::new(self.clone()),
+            load.start(),
+            load.step(),
+            load.values(),
+            events,
+        )
+    }
+
+    /// The one compiled fold: bill `powers`, sampled every `step` from
+    /// `start`, as a single [`BillAccrual::push_run`] under `kernel`, then
+    /// finalize. Batch bills and the ledger's as-of slices both come through
+    /// here, so they share the streaming path's expressions and order.
+    pub(crate) fn bill_run(
+        kernel: Arc<CompiledContract>,
+        start: SimTime,
+        step: Duration,
+        powers: &[Power],
+        events: &IntervalSet,
+    ) -> Result<Bill> {
+        let end = start + step * powers.len() as u64;
+        if start < kernel.start || end > kernel.end {
+            return Err(CoreError::BadSeries(format!(
+                "load [{start}, {end}) is outside the compiled horizon [{}, {})",
+                kernel.start, kernel.end
+            )));
         }
-        if let Some(dc) = &self.demand_charge {
-            let assessments = if fast && dc.metering_is_identity(load.step()) {
-                self.assess_demand_fast(dc, load)
-            } else {
-                self.assess_demand(dc, load)?
-            };
-            let amount = assessments.iter().map(|a| a.charge).sum();
-            items.push(LineItem {
-                label: format!("Demand charges ({} billing months)", assessments.len()),
-                kind: Some(ContractComponentKind::DemandCharge),
-                amount,
-            });
-        }
-        if let Some(pb) = &self.powerband {
-            // Already a single calendar-free pass; evaluated directly.
-            let report = pb.evaluate(load)?;
-            items.push(LineItem {
-                label: format!(
-                    "Powerband excursions ({} intervals)",
-                    report.violations.len()
-                ),
-                kind: Some(ContractComponentKind::Powerband),
-                amount: report.penalty_cost,
-            });
-        }
-        if let Some(em) = &self.emergency {
-            let assessment = em.assess(load, events)?;
-            items.push(LineItem {
-                label: format!(
-                    "Emergency DR penalties ({} events)",
-                    assessment.events.len()
-                ),
-                kind: Some(ContractComponentKind::EmergencyDr),
-                amount: assessment.total_penalty,
-            });
-        }
-        if self.monthly_fee > Money::ZERO {
-            let months = self.months_covered(load);
-            items.push(LineItem {
-                label: format!("Service fee ({months} months)"),
-                kind: None,
-                amount: self.monthly_fee * months as f64,
-            });
-        }
-        Ok(Bill {
-            contract: self.name.clone(),
-            items,
-        })
-    }
-}
-
-/// A monotone cursor over one lowered tariff's price timeline, from
-/// [`CompiledContract::segment_cursor`].
-///
-/// The invariant it encapsulates: segment `i` covers
-/// `[breaks[i], breaks[i+1])` (the last segment extends to the horizon end)
-/// and prices are the exact `f64`s the interpreter's `price_at` would
-/// produce, so the price in force at any in-horizon instant is
-/// `prices[partition_point(breaks, <= t) - 1]`. The cursor amortizes that
-/// lookup to O(1) for non-decreasing query times — the streaming-accrual
-/// access pattern — and re-seeks by binary search when queried backwards.
-#[derive(Debug, Clone)]
-pub struct SegmentCursor {
-    piece: Arc<CompiledTariff>,
-    seg: usize,
-}
-
-impl SegmentCursor {
-    fn timeline(&self) -> &PriceTimeline {
-        match &self.piece.lowered {
-            LoweredTariff::Strip(tl) => tl,
-            LoweredTariff::Block(_) => unreachable!("segment cursors wrap strip pieces only"),
-        }
-    }
-
-    /// The `$ / kWh` price in force at `t` (which must lie inside the
-    /// compile horizon). Amortized O(1) for monotone `t`.
-    pub fn price_at(&mut self, t: SimTime) -> EnergyPrice {
-        let tl = match &self.piece.lowered {
-            LoweredTariff::Strip(tl) => tl,
-            LoweredTariff::Block(_) => unreachable!("segment cursors wrap strip pieces only"),
-        };
-        let ts = t.as_secs();
-        if tl.breaks[self.seg] > ts {
-            // Backward query: re-seek. partition_point ≥ 1 for in-horizon t
-            // because breaks[0] is the horizon start.
-            self.seg = tl.breaks.partition_point(|b| *b <= ts).saturating_sub(1);
-        } else {
-            while let Some(&b) = tl.breaks.get(self.seg + 1) {
-                if b <= ts {
-                    self.seg += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        EnergyPrice::per_kilowatt_hour(tl.prices[self.seg])
-    }
-
-    /// Index of the segment the cursor currently rests on.
-    pub fn segment(&self) -> usize {
-        self.seg
-    }
-
-    /// Number of segments in the underlying timeline.
-    pub fn segment_count(&self) -> usize {
-        self.timeline().segments()
-    }
-}
-
-/// A cursor over a kernel's month-boundary index, from
-/// [`CompiledContract::month_cursor`].
-///
-/// The invariant it encapsulates: the kernel precomputes the billing-month
-/// start midnights strictly inside its horizon, and **boundary `i` closes
-/// every sample whose start time is `>= starts[i]`** — a sample belongs to
-/// the billing month its *start* lies in. `index_at(t)` is therefore
-/// `partition_point(starts, <= t)`: the number of boundaries at or before
-/// `t`, which is also the 0-based month slot of `t` within the horizon.
-/// Cloning is a pointer copy (the boundary array is `Arc`-shared with the
-/// kernel), so every meter in a fleet can hold one.
-#[derive(Debug, Clone)]
-pub struct MonthCursor {
-    starts: Arc<[u64]>,
-    first_month: u64,
-    bi: usize,
-}
-
-impl MonthCursor {
-    /// Number of month boundaries at or before `t` — `t`'s 0-based month
-    /// slot. Pure binary search; does not move the cursor.
-    pub fn index_of(&self, t: SimTime) -> usize {
-        let ts = t.as_secs();
-        self.starts.partition_point(|b| *b <= ts)
-    }
-
-    /// Like [`MonthCursor::index_of`] but amortized O(1) for non-decreasing
-    /// `t` (re-seeks by binary search when queried backwards).
-    pub fn advance_to(&mut self, t: SimTime) -> usize {
-        let ts = t.as_secs();
-        if self.bi > 0 && self.starts[self.bi - 1] > ts {
-            self.bi = self.index_of(t);
-        } else {
-            while self.starts.get(self.bi).is_some_and(|b| *b <= ts) {
-                self.bi += 1;
-            }
-        }
-        self.bi
-    }
-
-    /// The billing-month number (as [`Calendar::billing_month`] counts them)
-    /// in force at `t`. Amortized O(1) for monotone `t`.
-    pub fn month_of(&mut self, t: SimTime) -> u64 {
-        self.first_month + self.advance_to(t) as u64
-    }
-
-    /// The `i`-th month boundary, if it exists.
-    pub fn boundary(&self, i: usize) -> Option<SimTime> {
-        self.starts.get(i).map(|s| SimTime::from_secs(*s))
-    }
-
-    /// Billing-month number of the horizon start.
-    pub fn first_month(&self) -> u64 {
-        self.first_month
-    }
-
-    /// Number of billing months the horizon touches (boundaries + 1).
-    pub fn month_count(&self) -> usize {
-        self.starts.len() + 1
+        let mut accrual = BillAccrual::with_events(kernel, start, step, events)?;
+        accrual.push_run(powers)?;
+        accrual.finalize()
     }
 }
 
@@ -1604,8 +959,7 @@ mod tests {
         let exact = CompiledContract::compile(&cal, &tou_contract(), load.start(), load.end())
             .unwrap()
             .with_precision(Precision::BitExact);
-        // `clone` shares the lowered pieces (and their segment-map caches);
-        // only the precision knob differs.
+        // `clone` shares the lowered pieces; only the precision knob differs.
         let fast = exact.clone().with_precision(Precision::Fast);
         assert_eq!(fast.precision(), Precision::Fast);
         let a = exact.bill(&load).unwrap();
@@ -1622,49 +976,6 @@ mod tests {
             a.item_for(dc_kind).unwrap().amount,
             b.item_for(dc_kind).unwrap().amount
         );
-    }
-
-    #[test]
-    fn segment_maps_are_cached_per_geometry() {
-        let cal = Calendar::default();
-        let load = load_15min(30, 8.0);
-        let compiled =
-            CompiledContract::compile(&cal, &tou_contract(), load.start(), load.end()).unwrap();
-        assert_eq!(compiled.segment_map_stats(), (0, 0));
-        compiled.bill(&load).unwrap();
-        let (h1, m1) = compiled.segment_map_stats();
-        assert_eq!((h1, m1), (0, 1), "first geometry is a miss");
-        compiled.bill(&load).unwrap();
-        compiled
-            .clone()
-            .with_precision(Precision::Fast)
-            .bill(&load)
-            .unwrap();
-        let (h2, m2) = compiled.segment_map_stats();
-        assert_eq!(m2, 1, "same geometry never rebuilds");
-        assert!(h2 >= 2, "repeat bills hit the cache: {h2}");
-        // A different geometry is a fresh miss.
-        compiled.bill(&load_15min(10, 8.0)).unwrap();
-        assert_eq!(compiled.segment_map_stats().1, 2);
-    }
-
-    #[test]
-    fn patched_kernel_shares_segment_maps_of_unchanged_pieces() {
-        let cal = Calendar::default();
-        let base = dynamic_contract(hourly_strip(SimTime::EPOCH, &[0.05; 24 * 30]));
-        let compiled =
-            CompiledContract::compile(&cal, &base, SimTime::EPOCH, SimTime::from_days(30)).unwrap();
-        let load = load_15min(30, 8.0);
-        compiled.bill(&load).unwrap();
-        let misses_before = compiled.segment_map_stats().1;
-        // A non-tariff patch shares every piece: billing the same geometry
-        // through the patched kernel is all hits, zero rebuilds.
-        let patched = compiled
-            .patch(&ContractDelta::SetMonthlyFee(Money::from_dollars(99.0)))
-            .unwrap();
-        patched.bill(&load).unwrap();
-        assert_eq!(patched.segment_map_stats().1, misses_before);
-        assert!(patched.segment_map_stats().0 > 0);
     }
 
     #[test]
@@ -1716,154 +1027,5 @@ mod tests {
             engine.bill(&c, &load).unwrap(),
             compiled.bill(&load).unwrap()
         );
-    }
-
-    #[test]
-    fn segment_cursor_matches_price_at() {
-        let cal = Calendar::default();
-        let c = tou_contract();
-        let compiled =
-            CompiledContract::compile(&cal, &c, SimTime::EPOCH, SimTime::from_days(7)).unwrap();
-        let mut cursor = compiled.segment_cursor(0).unwrap();
-        // Forward sweep at 15-min resolution, then a backward re-seek.
-        for i in 0..(7 * 96) {
-            let t = SimTime::from_secs(i * 900);
-            assert_eq!(cursor.price_at(t), c.tariffs[0].price_at(&cal, t));
-        }
-        let back = SimTime::from_secs(3600);
-        assert_eq!(cursor.price_at(back), c.tariffs[0].price_at(&cal, back));
-        assert!(cursor.segment() < cursor.segment_count());
-        // Out-of-range and block indexes are rejected.
-        assert!(compiled.segment_cursor(1).is_err());
-        let block = Contract::builder("b")
-            .tariff(Tariff::Block(BlockTariff {
-                blocks: vec![
-                    crate::tariff::BlockStep {
-                        up_to_kwh: Some(500.0),
-                        price: EnergyPrice::per_kilowatt_hour(0.05),
-                    },
-                    crate::tariff::BlockStep {
-                        up_to_kwh: None,
-                        price: EnergyPrice::per_kilowatt_hour(0.09),
-                    },
-                ],
-            }))
-            .build()
-            .unwrap();
-        let cb =
-            CompiledContract::compile(&cal, &block, SimTime::EPOCH, SimTime::from_days(7)).unwrap();
-        assert!(cb.segment_cursor(0).is_err());
-    }
-
-    #[test]
-    fn month_cursor_matches_boundary_index() {
-        let cal = Calendar::default();
-        let compiled = CompiledContract::compile(
-            &cal,
-            &tou_contract(),
-            SimTime::EPOCH,
-            SimTime::from_days(365),
-        )
-        .unwrap();
-        let mut mc = compiled.month_cursor();
-        assert_eq!(mc.month_count(), compiled.month_count());
-        assert_eq!(mc.first_month(), cal.billing_month(SimTime::EPOCH));
-        for d in 0..365 {
-            let t = SimTime::from_days(d) + Duration::from_hours(3.0);
-            assert_eq!(mc.index_of(t), compiled.boundary_after(t.as_secs()));
-            assert_eq!(mc.advance_to(t), compiled.boundary_after(t.as_secs()));
-            assert_eq!(mc.month_of(t), cal.billing_month(t));
-        }
-        // Backward query re-seeks.
-        let t = SimTime::from_days(2);
-        assert_eq!(mc.advance_to(t), compiled.boundary_after(t.as_secs()));
-        assert_eq!(
-            mc.boundary(0).map(|b| b.as_secs()),
-            compiled.month_starts.first().copied()
-        );
-    }
-
-    #[test]
-    fn one_step_geometry_growth_extends_cached_map() {
-        let cal = Calendar::default();
-        let compiled = CompiledContract::compile(
-            &cal,
-            &tou_contract(),
-            SimTime::EPOCH,
-            SimTime::from_days(40),
-        )
-        .unwrap();
-        let n = 30 * 96;
-        compiled.bill(&load_15min(30, 8.0)).unwrap();
-        assert_eq!(compiled.segment_map_stats(), (0, 1));
-        // Same start/step, one more sample: the extension path reuses the
-        // cached map — a hit, not a rebuild.
-        let grown = Series::constant(
-            SimTime::EPOCH,
-            Duration::from_minutes(15.0),
-            Power::from_megawatts(8.0),
-            n + 1,
-        )
-        .unwrap();
-        let bill = compiled.bill(&grown).unwrap();
-        assert_eq!(compiled.segment_map_stats(), (1, 1));
-        // And the extended map prices exactly what a cold kernel computes.
-        let cold = CompiledContract::compile(
-            &cal,
-            &tou_contract(),
-            SimTime::EPOCH,
-            SimTime::from_days(40),
-        )
-        .unwrap();
-        assert_eq!(bill, cold.bill(&grown).unwrap());
-        assert_eq!(cold.segment_map_stats(), (0, 1));
-        // Growth by more than one step has no cached predecessor geometry
-        // and falls back to a full rebuild.
-        let jumped = Series::constant(
-            SimTime::EPOCH,
-            Duration::from_minutes(15.0),
-            Power::from_megawatts(8.0),
-            n + 3,
-        )
-        .unwrap();
-        compiled.bill(&jumped).unwrap();
-        assert_eq!(compiled.segment_map_stats().1, 2);
-    }
-
-    #[test]
-    fn poisoned_segment_map_cache_keeps_whole_snapshots() {
-        let tl = PriceTimeline {
-            breaks: vec![0, 12 * 3600],
-            prices: vec![0.05, 0.11],
-            maps: SegmentMapCache::default(),
-        };
-        let load = load_15min(1, 8.0);
-        let expected = tl.cost(&load);
-        assert_eq!(tl.map_stats(), (0, 1));
-
-        // Poison the cache lock: a thread panics while holding the write
-        // guard. Under copy-on-write the published snapshot is always whole
-        // (the swap is one Arc store), so unlike the old Mutex'd Vec there
-        // is no torn state to distrust.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = tl.maps.entries.write().unwrap();
-                panic!("injected panic while holding the segment-map lock");
-            })
-            .join()
-            .unwrap_err();
-        });
-        assert!(tl.maps.entries.is_poisoned());
-
-        // Recovery keeps the snapshot: the stream prefix probe still sees
-        // the cached map...
-        assert!(tl.prefix_map(0, 900).is_some());
-        // ...and the next bill is a cache hit to the same cost.
-        assert_eq!(tl.cost(&load), expected);
-        assert_eq!(tl.map_stats(), (1, 1));
-        // Writes keep working after recovery: a new geometry publishes.
-        tl.cost(&load_15min(7, 8.0));
-        assert_eq!(tl.map_stats(), (1, 2));
-        assert_eq!(tl.cost(&load_15min(7, 8.0)), tl.cost(&load_15min(7, 8.0)));
     }
 }

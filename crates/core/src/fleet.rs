@@ -2,8 +2,7 @@
 //!
 //! A [`MeterFleet`] manages many [`BillAccrual`] meters at once, sharded by
 //! contract fingerprint so every meter under the same contract shares one
-//! `Arc`'d [`CompiledContract`] kernel — and with it the kernel's reusable
-//! segment-map cache. Every advance resolves its samples to shards through
+//! `Arc`'d [`CompiledContract`] kernel. Every advance resolves its samples to shards through
 //! a scatter plan and fans the shards across the `try_par_map` worker pool;
 //! each shard is owned by exactly one task per advance, so the per-shard
 //! locks never contend.
@@ -440,9 +439,9 @@ impl MeterFleet {
         self.add_meter(kernel, start, step)
     }
 
-    /// Register a meter against an already-compiled kernel — the warm path
-    /// when the caller compiled (and possibly pre-seeded segment maps on)
-    /// the kernel itself. The kernel must share the fleet's horizon.
+    /// Register a meter against an already-compiled kernel — for a caller
+    /// that compiled the kernel itself (for example at an explicit
+    /// precision). The kernel must share the fleet's horizon.
     pub fn register_compiled(
         &mut self,
         kernel: Arc<CompiledContract>,

@@ -5,8 +5,8 @@
 //! to millions of loads under a handful of distinct contracts. A
 //! [`KernelCache`] holds one `Arc`'d kernel per distinct contract
 //! (identity: the contract's [`crate::fingerprint::ComponentFingerprint`]),
-//! over one calendar and compile horizon, so every consumer shares not just
-//! the compile cost but also the kernel's reusable segment-map cache.
+//! over one calendar and compile horizon, so every consumer shares the
+//! compile cost and one copy of the lowered timelines.
 //!
 //! This is the kernel-sharing machinery [`crate::fleet::MeterFleet`]
 //! grew in PR 6, factored out so sweep drivers can use the same cache to
@@ -197,7 +197,7 @@ mod tests {
         let mut c = cache();
         let a = c.get_or_compile(&contract(0.07)).unwrap();
         // An independently compiled copy of the same contract resolves to
-        // the cached instance, so segment maps stay shared.
+        // the cached instance, so one kernel serves every caller.
         let copy = Arc::new(
             CompiledContract::compile(
                 &Calendar::default(),

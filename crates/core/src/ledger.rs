@@ -43,6 +43,7 @@ use crate::contract::{Contract, ContractDelta};
 use crate::fingerprint;
 use crate::kernels::KernelCache;
 use crate::{CoreError, Result};
+use hpcgrid_timeseries::intervals::IntervalSet;
 use hpcgrid_timeseries::series::PowerSeries;
 use hpcgrid_units::{Calendar, Money, SimTime};
 use serde::{Deserialize, Serialize};
@@ -571,7 +572,17 @@ impl ContractLedger {
             let (from, to) = (pair[0], pair[1]);
             let revision = self.revision_at(id, from)?;
             let kernel = self.kernel_at(id, revision)?;
-            let bill = kernel.bill(&load.slice_time(from, to))?;
+            // Every bound is on the sample grid, so the slice is a borrowed
+            // sub-slice of the load, billed in one fused run.
+            let i0 = ((from.as_secs() - start.as_secs()) / step) as usize;
+            let i1 = ((to.as_secs() - start.as_secs()) / step) as usize;
+            let bill = CompiledContract::bill_run(
+                kernel,
+                from,
+                load.step(),
+                &load.values()[i0..i1],
+                &IntervalSet::empty(),
+            )?;
             slices.push(BillSlice {
                 revision,
                 from,

@@ -11,21 +11,48 @@
 use hpcgrid_core::billing::BillingEngine;
 use hpcgrid_core::compiled::CompiledContract;
 use hpcgrid_core::contract::Contract;
-use hpcgrid_core::demand_charge::DemandCharge;
+use hpcgrid_core::demand_charge::{DemandBasis, DemandCharge};
+use hpcgrid_core::emergency::EmergencyDrClause;
+use hpcgrid_core::powerband::Powerband;
 use hpcgrid_core::tariff::{BlockStep, BlockTariff, DayFilter, Tariff, TouTariff, TouWindow};
+use hpcgrid_timeseries::intervals::{Interval, IntervalSet};
 use hpcgrid_timeseries::series::{PowerSeries, PriceSeries, Series};
 use hpcgrid_units::{
     Calendar, DemandPrice, Duration, EnergyPrice, Money, Month, MonthSet, Power, SimTime,
     TimeOfDay, Weekday,
 };
 use proptest::prelude::*;
+use std::ops::Range;
+
+/// kW samples for the bit-exact properties: import in `0..20 000` mixed
+/// with export (negative power), exact zeros of both signs, repeats of the
+/// previous sample, and coarse levels that tie across the whole load.
+fn signed_kw(len: Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((0u8..8, -20_000.0f64..20_000.0), len).prop_map(|draws| {
+        let mut prev = 0.0f64;
+        draws
+            .into_iter()
+            .map(|(kind, kw)| {
+                prev = match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 | 3 => prev,
+                    4 => kw,
+                    5 => (kw / 5_000.0).round() * 5_000.0,
+                    _ => kw.abs(),
+                };
+                prev
+            })
+            .collect()
+    })
+}
 
 /// A load on a random start (second resolution), step, and length.
 fn load_strategy() -> impl Strategy<Value = PowerSeries> {
     (
         0u64..40 * 86_400,
         prop::sample::select(vec![900u64, 3_600, 7_200]),
-        prop::collection::vec(0.0f64..20_000.0, 1..500),
+        signed_kw(1..500),
     )
         .prop_map(|(start, step, kw)| {
             Series::new(
@@ -128,6 +155,67 @@ fn contract_strategy() -> impl Strategy<Value = Contract> {
         })
 }
 
+/// The components `contract_strategy` leaves out: a demand charge with
+/// coarse metering, a top-k basis or a floor, a powerband corridor with a
+/// lower bound, and an emergency clause — beside a TOU tariff and a block
+/// tariff, so energy lines and month buckets bill too.
+fn rich_contract_strategy() -> impl Strategy<Value = Contract> {
+    (
+        window_strategy(),
+        (
+            5u32..20,
+            prop::sample::select(vec![900u64, 3_600]),
+            0usize..4,
+        ),
+        0u32..2_000,
+        (0u32..15, 1u32..10),
+        0u32..10,
+    )
+        .prop_map(
+            |(w, (price, interval, k), floor, (band_lo, band_w), em_mw)| {
+                let band_lo = Power::from_megawatts(band_lo as f64);
+                Contract::builder("rich")
+                    .tariff(Tariff::TimeOfUse(TouTariff {
+                        windows: vec![w],
+                        base: EnergyPrice::per_kilowatt_hour(0.04),
+                    }))
+                    .tariff(Tariff::Block(BlockTariff {
+                        blocks: vec![
+                            BlockStep {
+                                up_to_kwh: Some(500_000.0),
+                                price: EnergyPrice::per_kilowatt_hour(0.13),
+                            },
+                            BlockStep {
+                                up_to_kwh: None,
+                                price: EnergyPrice::per_kilowatt_hour(0.065),
+                            },
+                        ],
+                    }))
+                    .demand_charge(DemandCharge {
+                        price: DemandPrice::per_kilowatt_month(price as f64),
+                        demand_interval: Duration::from_secs(interval),
+                        basis: if k == 0 {
+                            DemandBasis::MaxPeak
+                        } else {
+                            DemandBasis::TopKAverage(k)
+                        },
+                        floor: (floor >= 100).then(|| Power::from_kilowatts(floor as f64)),
+                    })
+                    .powerband(Powerband {
+                        upper: band_lo + Power::from_megawatts(band_w as f64),
+                        lower: Some(band_lo),
+                        penalty: EnergyPrice::per_kilowatt_hour(0.5),
+                    })
+                    .emergency(EmergencyDrClause::reference(Power::from_megawatts(
+                        em_mw as f64,
+                    )))
+                    .monthly_fee(Money::from_dollars(750.0))
+                    .build()
+                    .unwrap()
+            },
+        )
+}
+
 fn calendars() -> Vec<Calendar> {
     vec![
         Calendar::default(),
@@ -184,7 +272,7 @@ proptest! {
     fn wrap_midnight_tou_is_bit_identical(
         from_h in 12u8..24,
         to_h in 0u8..12,
-        kw in prop::collection::vec(0.0f64..15_000.0, 24..400),
+        kw in signed_kw(24..400),
         start_hours in 0u64..200,
     ) {
         let window = TouWindow {
@@ -227,7 +315,7 @@ proptest! {
     fn month_straddling_load_is_bit_identical(
         hours_before in 1u64..72,
         days_after in 1u64..70,
-        kw in prop::collection::vec(100.0f64..18_000.0, 1..50),
+        kw in signed_kw(1..50),
         cal_idx in 0usize..3,
     ) {
         let cal = calendars()[cal_idx];
@@ -272,6 +360,36 @@ proptest! {
         prop_assert_eq!(
             engine.bill(&contract, &load).unwrap(),
             compiled.bill(&load).unwrap()
+        );
+    }
+
+    /// The components the streaming fold meters on its own — coarse and
+    /// top-k demand, a powerband corridor, emergency event windows — bill
+    /// bit-identically to the interpreter, windows that straddle samples,
+    /// cover nothing or run past the load included.
+    #[test]
+    fn rich_contract_with_events_is_bit_identical(
+        contract in rich_contract_strategy(),
+        load in load_strategy(),
+        windows in prop::collection::vec((0u64..50 * 86_400, 1u64..12 * 3_600), 0..4),
+        cal_idx in 0usize..3,
+    ) {
+        let cal = calendars()[cal_idx];
+        let events = IntervalSet::from_intervals(
+            windows
+                .iter()
+                .map(|&(s, d)| {
+                    Interval::from_duration(SimTime::from_secs(s), Duration::from_secs(d))
+                })
+                .collect(),
+        );
+        let compiled = CompiledContract::compile(&cal, &contract, load.start(), load.end())
+            .unwrap();
+        prop_assert_eq!(
+            BillingEngine::new(cal)
+                .bill_with_events(&contract, &load, &events)
+                .unwrap(),
+            compiled.bill_with_events(&load, &events).unwrap()
         );
     }
 

@@ -2,8 +2,8 @@
 //!
 //! `Precision::BitExact` (the default) must stay **bit-identical** to the
 //! interpreted `BillingEngine` path — the same contract every prior release
-//! made, re-asserted here so the segment-map refactor cannot silently change
-//! a bit. `Precision::Fast` trades that bit-identity for vectorized pairwise
+//! made, re-asserted here so a kernel refactor cannot silently change a
+//! bit. `Precision::Fast` trades that bit-identity for vectorized pairwise
 //! summation and is held to the documented relative tolerance of `1e-12`
 //! per line item, across all four tariff kinds, wrap-midnight TOU windows,
 //! month-straddling loads, and patched delta chains.
@@ -163,8 +163,8 @@ proptest! {
     /// The refactor-safety anchor: a `Precision::BitExact` engine (the
     /// default) still produces bills byte-identical to the interpreted
     /// path, for randomized contracts, loads, and calendars. This is the
-    /// same contract `compiled_equivalence.rs` asserted before the
-    /// segment-map refactor, restated against the explicit knob.
+    /// same contract `compiled_equivalence.rs` asserts, restated against
+    /// the explicit knob.
     #[test]
     fn bit_exact_engine_is_byte_identical_to_interpreter(
         contract in contract_strategy(),
@@ -303,8 +303,8 @@ proptest! {
     }
 
     /// Patched delta chains: applying deltas to a fast kernel bills within
-    /// tolerance of a bit-exact kernel patched identically — the reusable
-    /// segment maps of unchanged pieces cannot leak stale prices.
+    /// tolerance of a bit-exact kernel patched identically — pieces shared
+    /// across a patch cannot leak stale prices.
     #[test]
     fn fast_patched_delta_chain_is_within_tolerance(
         contract in contract_strategy(),
@@ -323,7 +323,6 @@ proptest! {
         let mut exact = base.clone().with_precision(Precision::BitExact);
         let mut fast = base.with_precision(Precision::Fast);
         for delta in &deltas {
-            // Warm the pre-patch maps so the patched kernels inherit them.
             let _ = fast.bill(&load).unwrap();
             exact = exact.patch(delta).unwrap();
             fast = fast.patch(delta).unwrap();
@@ -332,10 +331,9 @@ proptest! {
     }
 
     /// `bill_many` under `Precision::Fast`: the batch equals billing each
-    /// load one at a time (same kernel, same maps), and repeated geometries
-    /// hit the segment-map cache instead of rebuilding.
+    /// load one at a time through the same kernel.
     #[test]
-    fn fast_bill_many_matches_sequential_and_reuses_maps(
+    fn fast_bill_many_matches_sequential(
         contract in contract_strategy(),
         base in load_strategy(),
         scales in prop::collection::vec(0.1f64..3.0, 2..8),
@@ -352,12 +350,5 @@ proptest! {
         for (load, batched) in loads.iter().zip(&batch) {
             prop_assert_eq!(&kernel.bill(load).unwrap(), batched);
         }
-        let (hits, misses) = kernel.segment_map_stats();
-        // One miss per price timeline on first touch, hits thereafter.
-        prop_assert!(
-            hits >= misses * (loads.len() as u64 - 1),
-            "expected geometry reuse: {hits} hits vs {misses} misses over {} loads",
-            loads.len()
-        );
     }
 }

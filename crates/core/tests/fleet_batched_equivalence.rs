@@ -33,6 +33,7 @@ use hpcgrid_units::{
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Documented relative tolerance of `Precision::Fast`.
@@ -94,6 +95,20 @@ fn rich_contract() -> Contract {
         .unwrap()
 }
 
+/// TOU plus a max-peak monthly demand charge on 15-minute metering: on
+/// 15-minute and hourly streams each month's peak is one lane max in
+/// `push_run` and a per-sample update in `push_next`.
+fn max_peak_contract() -> Contract {
+    Contract::builder("fleet-batched-max-peak")
+        .tariff(Tariff::day_night(
+            EnergyPrice::per_kilowatt_hour(0.12),
+            EnergyPrice::per_kilowatt_hour(0.04),
+        ))
+        .demand_charge(DemandCharge::monthly(DemandPrice::per_kilowatt_month(12.0)))
+        .build()
+        .unwrap()
+}
+
 /// A plain flat-rate contract — the degenerate single-segment timeline.
 fn flat_contract() -> Contract {
     Contract::builder("fleet-batched-flat")
@@ -115,15 +130,51 @@ fn compile(contract: &Contract, precision: Precision) -> Arc<CompiledContract> {
     )
 }
 
+/// kW samples for the bit-exact properties: import in `0..20 000` mixed
+/// with export (negative power), exact zeros of both signs, repeats of the
+/// previous sample, and coarse levels that tie across the whole stream.
+fn signed_kw(len: Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((0u8..8, -20_000.0f64..20_000.0), len).prop_map(|draws| {
+        let mut prev = 0.0f64;
+        draws
+            .into_iter()
+            .map(|(kind, kw)| {
+                prev = match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 | 3 => prev,
+                    4 => kw,
+                    5 => (kw / 5_000.0).round() * 5_000.0,
+                    _ => kw.abs(),
+                };
+                prev
+            })
+            .collect()
+    })
+}
+
 /// `(start, step, kw)`: a stream geometry inside the horizon, sized so
 /// even the longest stream at the coarsest step stays in bounds.
-fn stream_strategy() -> impl Strategy<Value = (SimTime, Duration, Vec<f64>)> {
+fn geometry(
+    kw: impl Strategy<Value = Vec<f64>>,
+) -> impl Strategy<Value = (SimTime, Duration, Vec<f64>)> {
     (
         0u64..30 * 86_400,
         prop::sample::select(vec![900u64, 3_600]),
-        prop::collection::vec(0.0f64..20_000.0, 1..150),
+        kw,
     )
         .prop_map(|(s, step, kw)| (SimTime::from_secs(s), Duration::from_secs(step), kw))
+}
+
+/// A signed stream for the bit-exact properties.
+fn stream_strategy() -> impl Strategy<Value = (SimTime, Duration, Vec<f64>)> {
+    geometry(signed_kw(1..150))
+}
+
+/// A non-negative stream for the `Fast` tolerance property: its 1e-12
+/// bound is documented for same-sign addends.
+fn import_stream_strategy() -> impl Strategy<Value = (SimTime, Duration, Vec<f64>)> {
+    geometry(prop::collection::vec(0.0f64..20_000.0, 1..150))
 }
 
 /// Chunk widths for splitting a stream into `push_run` calls / windows.
@@ -247,6 +298,39 @@ proptest! {
         );
     }
 
+    /// Under identity metering `push_run` takes each month's peak as one
+    /// lane max. Its state must serialize to the same bytes as per-sample
+    /// `push_next` at every chunk boundary: the JSON form tells −0.0 from
+    /// +0.0, which `Bill`'s `PartialEq` does not.
+    #[test]
+    fn lane_max_snapshots_match_push_next_byte_for_byte(
+        (start, step, kw) in stream_strategy(),
+        chunks in chunks_strategy(),
+    ) {
+        let kernel = compile(&max_peak_contract(), Precision::BitExact);
+        let powers: Vec<Power> = kw.iter().copied().map(Power::from_kilowatts).collect();
+        let mut fused = BillAccrual::new(Arc::clone(&kernel), start, step).unwrap();
+        let mut seq = BillAccrual::new(Arc::clone(&kernel), start, step).unwrap();
+        let mut i = 0usize;
+        for &c in chunks.iter().cycle() {
+            if i == powers.len() {
+                break;
+            }
+            let c = c.min(powers.len() - i);
+            fused.push_run(&powers[i..i + c]).unwrap();
+            for &p in &powers[i..i + c] {
+                seq.push_next(p).unwrap();
+            }
+            i += c;
+            prop_assert_eq!(
+                serde_json::to_string(&fused.snapshot()).unwrap(),
+                serde_json::to_string(&seq.snapshot()).unwrap(),
+                "chunk boundary at {} diverged",
+                i
+            );
+        }
+    }
+
     /// The fleet-level half: `advance_window` over arbitrary window
     /// widths ≡ `advance_tick` per tick, bills compared bit-identically at
     /// every window boundary and pinned against solo per-sample accruals
@@ -306,7 +390,7 @@ proptest! {
     /// the documented 1e-12 of the bit-exact batch bill.
     #[test]
     fn fast_mode_fused_runs_stay_within_tolerance(
-        (start, step, kw) in stream_strategy(),
+        (start, step, kw) in import_stream_strategy(),
         chunks in chunks_strategy(),
     ) {
         let fast_kernel = compile(&rich_contract(), Precision::Fast);

@@ -105,7 +105,8 @@ proptest! {
             prop_assert_eq!(&hydrated, expected);
 
             // Same compile path on both sides (ledger cache vs by-hand), so
-            // the bills must agree bit for bit at any ambient precision.
+            // the bills must agree bit for bit at whatever precision both
+            // kernels bill.
             let (start, end) = ledger.horizon();
             let fresh = CompiledContract::compile(ledger.calendar(), expected, start, end).unwrap();
             let served = ledger.kernel_at(id, rev as u64).unwrap();

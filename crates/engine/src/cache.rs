@@ -751,9 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn format_env_knob_selects_json() {
-        // Only inspects the parser, not the process env (tests run in
-        // parallel; mutating the env here would race other suites).
+    fn artifact_format_default_labels_and_extension() {
         assert_eq!(ArtifactFormat::default(), ArtifactFormat::Binary);
         assert_eq!(ArtifactFormat::Binary.label(), "binary");
         assert_eq!(ArtifactFormat::Json.label(), "json");
