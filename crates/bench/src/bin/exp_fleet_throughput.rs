@@ -12,20 +12,30 @@
 //!
 //! * **scalar** — AoS `advance_tick`: each tick's samples are transposed
 //!   into a fresh frame, whose id lane is compared against the cached
-//!   `ScatterPlan`'s, then folded like a frame, `catch_unwind` per push;
+//!   `ScatterPlan`'s, then folded like a frame;
 //! * **frames** — columnar `advance_frame`: one cached `ScatterPlan`
-//!   resolves the whole frame shape, workers pull the power lane through
-//!   prefix-sum buckets;
-//! * **fused** — `advance_window` over 16-tick windows: one `push_run`
-//!   per meter per window, `catch_unwind` once per meter-window.
+//!   resolves the whole frame shape, workers gather each cohort's powers
+//!   out of the power lane;
+//! * **fused** — `advance_window` over 16-tick windows: one block fold
+//!   per cohort per window;
+//! * **fused (fast)** — the fused pass over `Precision::Fast` kernels.
+//!
+//! Every shape folds each shard's cohort — the meters that advance in
+//! lockstep — as one block per advance, so `frames` is a block one tick
+//! wide and `fused` one sixteen ticks wide.
 //!
 //! Correctness gates run before any timing: a small fleet's finalized
 //! bills must be bit-identical to batch `CompiledContract::bill` over the
 //! equivalent series, per meter, for every contract shape — fed through
-//! every ingest shape. The throughput floors are asserted in release builds
-//! only: an absolute scalar floor, an absolute batched floor, and (at the
-//! committed full-scale workload) the fused path's ≥2.5× claim over the
-//! committed scalar baseline.
+//! every ingest shape — and the fast fused fleet's bills must stay within
+//! the documented 1e-12 of those bit-exact bills. Machine-independent
+//! counts are gated at every size: at most [`MAX_BYTES_PER_METER`] bytes
+//! of accrual state per meter, and one cohort per shard after the frames
+//! and fused passes (every meter folds every frame, so no cohort splits).
+//! The throughput floors are asserted in release builds only: an absolute
+//! scalar floor, an absolute batched floor, and (at the committed
+//! full-scale workload) the fused path's ≥2.5× claim over the committed
+//! scalar baseline.
 //!
 //! `HPCGRID_FLEET_METERS` overrides the fleet size (CI smoke runs at
 //! 10 000); `HPCGRID_FLEET_SHARDS` sets the shards-per-contract count
@@ -33,7 +43,7 @@
 //! A malformed `HPCGRID_FLEET_SHARDS` stops the binary with an error.
 
 use hpcgrid_bench::table::TextTable;
-use hpcgrid_core::billing::Precision;
+use hpcgrid_core::billing::{Bill, Precision};
 use hpcgrid_core::compiled::CompiledContract;
 use hpcgrid_core::contract::Contract;
 use hpcgrid_core::demand_charge::DemandCharge;
@@ -68,6 +78,12 @@ const COMMITTED_SCALAR_BASELINE: f64 = 18_400_000.0;
 /// [`COMMITTED_SCALAR_BASELINE`] at the committed [`DEFAULT_METERS`]
 /// workload.
 const FUSED_SPEEDUP_FLOOR: f64 = 2.5;
+/// Accrual state per meter, in bytes, at any fleet size: a cohort keeps
+/// its clock once and each meter's quantities as `f64` columns (296 bytes
+/// per meter when every meter carried its own accrual).
+const MAX_BYTES_PER_METER: f64 = 128.0;
+/// Documented relative tolerance of `Precision::Fast` per line item.
+const FAST_RTOL: f64 = 1e-12;
 
 /// The same utility-shaped TOU schedule the billing-kernel baseline uses.
 fn tou_schedule() -> Tariff {
@@ -150,12 +166,13 @@ fn meter_series(i: usize) -> PowerSeries {
     .unwrap()
 }
 
-/// Compile every contract shape bit-exact over the fleet horizon.
+/// Compile every contract shape at `precision` over the fleet horizon.
 fn compile_kernels(
     calendar: Calendar,
     shapes: &[Contract],
     start: SimTime,
     end: SimTime,
+    precision: Precision,
 ) -> Vec<Arc<CompiledContract>> {
     shapes
         .iter()
@@ -163,10 +180,19 @@ fn compile_kernels(
             Arc::new(
                 CompiledContract::compile(&calendar, c, start, end)
                     .unwrap()
-                    .with_precision(Precision::BitExact),
+                    .with_precision(precision),
             )
         })
         .collect()
+}
+
+/// True if every line item of `fast` is within [`FAST_RTOL`] of `exact`'s.
+fn bills_close(exact: &Bill, fast: &Bill) -> bool {
+    exact.items.len() == fast.items.len()
+        && exact.items.iter().zip(&fast.items).all(|(e, f)| {
+            let (a, b) = (e.amount.as_dollars(), f.amount.as_dollars());
+            e.label == f.label && (a - b).abs() <= FAST_RTOL * a.abs().max(b.abs()).max(1.0)
+        })
 }
 
 /// `HPCGRID_FLEET_SHARDS`: a positive shards-per-contract count, or `None`
@@ -229,7 +255,7 @@ fn run_fleet(
 
 /// Like [`run_fleet`], but streaming columnar [`TickFrame`]s in windows of
 /// `window` ticks: `window == 1` exercises the per-frame plan-scatter path
-/// (`advance_frame`), wider windows the fused `push_run` path
+/// (`advance_frame`), wider windows the fused window path
 /// (`advance_window`). Frame construction (power-lane fill from the
 /// profile table) is timed, exactly like `run_fleet` times its sample
 /// buffer fill — the comparison is driver-to-driver fair.
@@ -296,7 +322,8 @@ fn main() {
     // Correctness gate first: a small fleet's finalized bills must be
     // bit-identical to batch bills of the equivalent series, for every
     // contract shape and profile class.
-    let gate_kernels = compile_kernels(calendar, &shapes, start, end);
+    let gate_kernels = compile_kernels(calendar, &shapes, start, end, Precision::BitExact);
+    let gate_fast_kernels = compile_kernels(calendar, &shapes, start, end, Precision::Fast);
     let gate_meters = 4 * PROFILES;
     let (gate_scalar, _, _) = run_fleet(calendar, &gate_kernels, gate_meters, start, end, shards);
     let (gate_frames, _, _) =
@@ -310,10 +337,25 @@ fn main() {
         WINDOW_TICKS,
         shards,
     );
+    let (gate_fast, _, _) = run_fleet_batched(
+        calendar,
+        &gate_fast_kernels,
+        gate_meters,
+        start,
+        end,
+        WINDOW_TICKS,
+        shards,
+    );
     for i in 0..gate_meters {
         let batch = gate_kernels[i % gate_kernels.len()]
             .bill(&meter_series(i))
             .unwrap();
+        let fast = gate_fast.finalize(MeterId(i)).unwrap();
+        assert!(
+            bills_close(&batch, &fast),
+            "meter #{i} via fused (fast): bill must stay within {FAST_RTOL:e} of the \
+             bit-exact batch bill\n{batch:?}\n{fast:?}"
+        );
         for (path, fleet) in [
             ("scalar", &gate_scalar),
             ("frames", &gate_frames),
@@ -328,20 +370,21 @@ fn main() {
     }
     println!(
         "correctness: {gate_meters} meters x {TICKS} ticks bit-identical to batch bills \
-         across {} contract shapes and all 3 ingest shapes\n",
+         across {} contract shapes and all 3 ingest shapes; fast fused bills within \
+         {FAST_RTOL:e}\n",
         shapes.len()
     );
 
     // Scalar pass: one advance_tick per tick.
-    let kernels = compile_kernels(calendar, &shapes, start, end);
+    let kernels = compile_kernels(calendar, &shapes, start, end, Precision::BitExact);
     let (scalar_fleet, scalar_reg_s, scalar_stream_s) =
         run_fleet(calendar, &kernels, meters, start, end, shards);
     let scalar = scalar_fleet.stats();
     drop(scalar_fleet); // free ~bytes_per_meter * meters before the next pass
 
     // Batched passes over the same kernels: columnar frames (plan scatter,
-    // one tick per advance), then fused 16-tick windows (one push_run per
-    // meter per window).
+    // one tick per advance), then fused 16-tick windows (one block fold per
+    // cohort per window), then the fused windows over `Fast` kernels.
     let (frames_fleet, frames_reg_s, frames_stream_s) =
         run_fleet_batched(calendar, &kernels, meters, start, end, 1, shards);
     let frames = frames_fleet.stats();
@@ -349,6 +392,18 @@ fn main() {
     let (fused_fleet, fused_reg_s, fused_stream_s) =
         run_fleet_batched(calendar, &kernels, meters, start, end, WINDOW_TICKS, shards);
     let fused = fused_fleet.stats();
+    drop(fused_fleet);
+    let fast_kernels = compile_kernels(calendar, &shapes, start, end, Precision::Fast);
+    let (fast_fleet, fast_reg_s, fast_stream_s) = run_fleet_batched(
+        calendar,
+        &fast_kernels,
+        meters,
+        start,
+        end,
+        WINDOW_TICKS,
+        shards,
+    );
+    let fast = fast_fleet.stats();
 
     let mut t = TextTable::new(vec![
         "pass",
@@ -375,6 +430,7 @@ fn main() {
             fused_stream_s,
             &fused,
         ),
+        ("fused (fast precision)", fast_reg_s, fast_stream_s, &fast),
     ] {
         t.row(vec![
             pass.to_string(),
@@ -397,11 +453,13 @@ fn main() {
     );
     println!(
         "fleet: {meters} meters, {} shards, {} contracts, {:.0} bytes/meter, \
-         kernel reuse {:.4}%\n",
+         kernel reuse {:.4}%; cohorts after frames {}, fused {}\n",
         scalar.shards,
         scalar.contracts,
         scalar.bytes_per_meter,
-        scalar.kernel_reuse_rate() * 100.0
+        scalar.kernel_reuse_rate() * 100.0,
+        frames.cohorts,
+        fused.cohorts,
     );
 
     // Registration reuses each contract's kernel for all but its first
@@ -411,6 +469,25 @@ fn main() {
         "kernel reuse rate {:.4} below 0.99 — shards are not sharing kernels",
         scalar.kernel_reuse_rate()
     );
+    // Counts that carry across machines, gated at every fleet size.
+    for (pass, stats) in [
+        ("scalar", &scalar),
+        ("frames", &frames),
+        ("fused", &fused),
+        ("fast", &fast),
+    ] {
+        assert!(
+            stats.bytes_per_meter <= MAX_BYTES_PER_METER,
+            "{pass}: {:.1} bytes of accrual state per meter, above {MAX_BYTES_PER_METER}",
+            stats.bytes_per_meter
+        );
+    }
+    for (pass, stats) in [("frames", &frames), ("fused", &fused)] {
+        assert_eq!(
+            stats.cohorts, stats.shards,
+            "{pass}: every meter folds every frame, so each shard must fold one cohort"
+        );
+    }
 
     let workload = serde_json::json!({
         "meters": meters,
@@ -431,6 +508,7 @@ fn main() {
         "meter_samples_per_sec": frames.meter_samples_per_sec,
         "plan_builds": frames.plan_builds,
         "plan_hits": frames.plan_hits,
+        "cohorts": frames.cohorts,
     });
     let fused_json = serde_json::json!({
         "register_seconds": fused_reg_s,
@@ -442,6 +520,16 @@ fn main() {
         "speedup_vs_scalar": fused.meter_samples_per_sec / scalar.meter_samples_per_sec,
         "speedup_vs_committed_baseline":
             fused.meter_samples_per_sec / COMMITTED_SCALAR_BASELINE,
+        "cohorts": fused.cohorts,
+    });
+    let fast_json = serde_json::json!({
+        "register_seconds": fast_reg_s,
+        "stream_seconds": fast_stream_s,
+        "meter_samples_per_sec": fast.meter_samples_per_sec,
+        "window_ticks": WINDOW_TICKS,
+        "precision": "fast",
+        "tolerance": FAST_RTOL,
+        "speedup_vs_bit_exact_fused": fast.meter_samples_per_sec / fused.meter_samples_per_sec,
     });
     let env_json = serde_json::json!({
         "HPCGRID_FLEET_METERS": std::env::var("HPCGRID_FLEET_METERS").ok(),
@@ -453,7 +541,9 @@ fn main() {
         "scalar": scalar_json,
         "frames": frames_json,
         "fused": fused_json,
+        "fused_fast": fast_json,
         "bytes_per_meter": scalar.bytes_per_meter,
+        "max_bytes_per_meter": MAX_BYTES_PER_METER,
         "kernel_reuse_rate": scalar.kernel_reuse_rate(),
         "shards": scalar.shards,
         "floor_meter_samples_per_sec": FLOOR_SAMPLES_PER_SEC,

@@ -17,8 +17,9 @@
 //!   the service-fee month count.
 //!
 //! A batch bill is the streaming fold run once: [`CompiledContract::bill`]
-//! feeds the whole load to one [`BillAccrual::push_run`] and finalizes, so
-//! a batch bill and a streamed bill are the same code.
+//! folds the whole load as one block of a single meter — what
+//! [`BillAccrual::push_run`](crate::accrual::BillAccrual::push_run) does —
+//! and finalizes, so a batch bill and a streamed bill are the same code.
 //!
 //! # Incremental recompilation
 //!
@@ -55,9 +56,9 @@
 //! path for horizons up to a year; property-tested in `fast_equivalence`).
 //! Both modes take a month's demand peak as one lane max when metering is
 //! the identity, which is *bit-equal* to the per-sample peak (see
-//! [`BillAccrual::push_run`]).
+//! [`BillAccrual::push_run`](crate::accrual::BillAccrual::push_run)).
 
-use crate::accrual::BillAccrual;
+use crate::accrual::Cohort;
 use crate::billing::{Bill, Precision};
 use crate::contract::{Contract, ContractDelta};
 use crate::demand_charge::DemandCharge;
@@ -643,36 +644,32 @@ impl CompiledContract {
         if load.is_empty() {
             return Err(CoreError::BadSeries("load series is empty".into()));
         }
-        CompiledContract::bill_run(
-            Arc::new(self.clone()),
-            load.start(),
-            load.step(),
-            load.values(),
-            events,
-        )
+        self.bill_run(load.start(), load.step(), load.values(), events)
     }
 
     /// The one compiled fold: bill `powers`, sampled every `step` from
-    /// `start`, as a single [`BillAccrual::push_run`] under `kernel`, then
-    /// finalize. Batch bills and the ledger's as-of slices both come through
-    /// here, so they share the streaming path's expressions and order.
+    /// `start`, as a cohort of one folding the whole load as one block
+    /// against this kernel (borrowed, never cloned), then finalize. Batch
+    /// bills and the ledger's as-of slices both come through here, so they
+    /// share the streaming path's expressions and order.
     pub(crate) fn bill_run(
-        kernel: Arc<CompiledContract>,
+        &self,
         start: SimTime,
         step: Duration,
         powers: &[Power],
         events: &IntervalSet,
     ) -> Result<Bill> {
         let end = start + step * powers.len() as u64;
-        if start < kernel.start || end > kernel.end {
+        if start < self.start || end > self.end {
             return Err(CoreError::BadSeries(format!(
                 "load [{start}, {end}) is outside the compiled horizon [{}, {})",
-                kernel.start, kernel.end
+                self.start, self.end
             )));
         }
-        let mut accrual = BillAccrual::with_events(kernel, start, step, events)?;
-        accrual.push_run(powers)?;
-        accrual.finalize()
+        let mut meter = Cohort::new(self, start, step, events)?;
+        meter.push_member();
+        meter.fold(self, Power::kilowatts_slice(powers), powers.len());
+        meter.finalize(self, 0)
     }
 }
 

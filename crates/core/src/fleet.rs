@@ -1,45 +1,80 @@
 //! Sharded meter fleets: utility-scale streaming billing.
 //!
-//! A [`MeterFleet`] manages many [`BillAccrual`] meters at once, sharded by
+//! A [`MeterFleet`] bills many streaming meters at once, sharded by
 //! contract fingerprint so every meter under the same contract shares one
-//! `Arc`'d [`CompiledContract`] kernel. Every advance resolves its samples to shards through
-//! a scatter plan and fans the shards across the `try_par_map` worker pool;
-//! each shard is owned by exactly one task per advance, so the per-shard
-//! locks never contend.
+//! `Arc`'d [`CompiledContract`] kernel. Every advance resolves its samples
+//! to shards through a scatter plan and fans the shards across the
+//! `try_par_map` worker pool; each shard is owned by exactly one task per
+//! advance, so the per-shard locks never contend.
 //!
 //! # Hot-path data layout
+//!
+//! A shard holds its meters as **cohorts**: meters that started at the same
+//! instant, sample at the same step and have folded the same number of
+//! samples share one clock — the sample count, every tariff's segment
+//! cursor, the block and demand month cursors, the metering-chunk counters
+//! and the closed-month calendar — while every per-meter quantity is a
+//! lane of an `f64` column (see [`crate::accrual`]). An advance folds each
+//! cohort's block of `meters × ticks` powers in one pass: per tick and
+//! tariff the price is found once and applied across the cohort.
 //!
 //! Ingest comes in two shapes, plus an adapter:
 //!
 //! * [`MeterFleet::advance_frame`] — one tick as a columnar [`TickFrame`]
-//!   (SoA: a shared meter-id lane plus a contiguous power lane). The fleet
-//!   resolves directory lookups, quarantine membership, and shard
-//!   bucketing **once** into a cached `ScatterPlan` with prefix-sum
-//!   bucket offsets; steady-state scatter is then a plan-indexed pull of
-//!   the power lane, with no per-sample map probes and no per-sample
-//!   locks.
-//! * [`MeterFleet::advance_window`] — many frames at once. Each meter's
-//!   samples across the window are gathered into one contiguous run and
-//!   folded by a single [`BillAccrual::push_run`] call — segment cursors
-//!   stay hot across the whole window and `catch_unwind` is paid once per
-//!   meter-window instead of once per sample.
+//!   (SoA: a shared meter-id lane plus a contiguous power lane): a block
+//!   one tick wide. The fleet resolves directory lookups, quarantine
+//!   membership, and cohort bucketing **once** into a cached
+//!   `ScatterPlan`; steady-state scatter is then a plan-indexed gather of
+//!   the power lane into each shard's reused scratch, with no per-sample
+//!   map probes and no per-sample locks.
+//! * [`MeterFleet::advance_window`] — many frames at once: a block as wide
+//!   as the window, folded in the same pass.
 //! * [`MeterFleet::advance_tick`] — one tick of AoS [`Sample`]s, transposed
 //!   by [`TickFrame::from_samples`] and advanced as a frame.
 //!
 //! The scatter plan is reused while the population is stable and
 //! invalidated by anything that moves meters or changes quarantine
 //! membership: [`MeterFleet::register`], [`MeterFleet::apply_delta`],
-//! [`MeterFleet::restore`] of a quarantined meter, and in-tick panics.
+//! [`MeterFleet::restore`], an armed chaos fault, and in-advance panics.
+//! Building a plan is also when cohorts change shape: each shard's cohorts
+//! with equal clocks merge, and a cohort splits when the frame shape puts
+//! its meters out of step — meters absent from the frame (they lag), and
+//! meters named more than once in a frame (their samples fold in frame
+//! order, as a run of their own). A meter restored to a different point,
+//! moved by a delta or quarantined leaves its cohort the same way, so a
+//! whole-fleet [`MeterFleet::restore_checkpoint`] ends in full cohorts
+//! again at the next plan build. [`FleetStats::cohorts`] shows the
+//! fragmentation.
 //!
 //! The fleet preserves the accrual layer's bit-identity invariant meter by
 //! meter and *per ingest shape*: `finalize(meter)` equals the batch bill
 //! of that meter's sample history under `Precision::BitExact`, regardless
-//! of shard count, tick batching, or whether the samples arrived as AoS
-//! ticks, frames, or fused windows. The shard count (default: available
-//! parallelism; set it with [`MeterFleet::with_shards`]) is therefore pure
-//! deployment tuning.
+//! of shard count, cohort membership, tick batching, or whether the
+//! samples arrived as AoS ticks, frames, or fused windows. The shard count
+//! (default: available parallelism; set it with [`MeterFleet::with_shards`])
+//! is therefore pure deployment tuning.
+//!
+//! # Failure model
+//!
+//! The fleet degrades instead of dying, with two blast radii:
+//!
+//! * **An injected fault costs one meter-window.** A meter armed by
+//!   [`MeterFleet::chaos_poison_meter`] is split into a cohort of its own at
+//!   the next plan build and pulled out before the block fold: its samples
+//!   in that advance are dropped, it is quarantined with an
+//!   "injected meter panic" reason, and every other meter folds normally.
+//! * **A genuine panic costs its whole cohort.** A panic inside a cohort's
+//!   block fold leaves every member half-updated — the fold interleaves
+//!   members within each component — so every member of that cohort is
+//!   quarantined with the panic message rather than left with a silently
+//!   wrong bill. Other cohorts and shards fold normally.
+//!
+//! Quarantined meters drop their samples through the rebuilt plan and
+//! refuse `finalize`/`snapshot` until [`MeterFleet::restore`] rehabilitates
+//! them from a known-good snapshot. Typed errors (grid misuse, horizon
+//! overrun) still fail the advance.
 
-use crate::accrual::{AccrualSnapshot, BillAccrual};
+use crate::accrual::{AccrualSnapshot, Cohort, Tiles};
 use crate::billing::Bill;
 use crate::checkpoint::FleetCheckpoint;
 use crate::compiled::CompiledContract;
@@ -47,13 +82,18 @@ use crate::contract::{Contract, ContractDelta};
 use crate::kernels::KernelCache;
 use crate::ledger::{EventPayload, LedgerEvent};
 use crate::{CoreError, Result};
-use hpcgrid_timeseries::par::try_par_map;
+use hpcgrid_timeseries::intervals::IntervalSet;
+use hpcgrid_timeseries::par::{default_threads, try_par_map};
 use hpcgrid_units::{Calendar, Duration, Power, SimTime};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// The reason an armed chaos fault quarantines its meter with.
+const INJECTED_PANIC: &str = "injected meter panic (chaos)";
 
 /// Opaque handle to a registered meter. Returned by
 /// [`MeterFleet::register`] and stable for the fleet's lifetime (meters
@@ -175,59 +215,92 @@ impl TickFrame {
 }
 
 /// The cached scatter resolution for one frame shape against one fleet
-/// population: every directory lookup, quarantine probe, and shard bucket
-/// assignment done once, with prefix-sum offsets so each shard's pull is a
-/// contiguous entry range.
+/// population: every directory lookup, quarantine probe, and cohort
+/// assignment done once.
 #[derive(Debug)]
 struct ScatterPlan {
     /// Fleet population version the plan was built against.
     version: u64,
     /// The frame meter-id lane the plan serves.
     meters: Arc<[MeterId]>,
-    /// Per-shard entry ranges: shard `s` owns entries
-    /// `[offsets[s], offsets[s+1])`.
-    offsets: Vec<usize>,
-    /// Entry → shard-local meter slot.
-    slots: Vec<u32>,
-    /// Entry → frame position (index into the power lane).
+    /// `(shard, groups range)` for every shard with a cohort to fold.
+    work: Vec<(usize, Range<usize>)>,
+    /// One worker task per range of `work`, split like `try_par_map`
+    /// splits its inputs.
+    tasks: Vec<Range<usize>>,
+    /// The cohorts to fold, shard by shard.
+    groups: Vec<PlanGroup>,
+    /// Frame positions: `per_frame` per member of each planned cohort, in
+    /// lane order.
     positions: Vec<u32>,
     /// Frame positions dropped every tick because their meter is
     /// quarantined.
     dropped_per_tick: usize,
-    /// True if no meter id appears twice in the frame — the precondition
-    /// for fusing a window per meter (duplicates must fold in frame
-    /// order, which per-meter fusion would reorder).
-    unique: bool,
+}
+
+/// One cohort an advance folds.
+#[derive(Debug, Clone)]
+struct PlanGroup {
+    /// The cohort's index in its shard.
+    group: usize,
+    /// Samples per member per frame: 1, or for a meter named several times
+    /// in a frame (a cohort of its own), that many in frame order.
+    per_frame: usize,
+    /// The members' frame positions in [`ScatterPlan::positions`].
+    positions: Range<usize>,
+}
+
+/// One cohort of a shard with its members' ids, lane-aligned.
+#[derive(Debug)]
+struct Group {
+    ids: Vec<MeterId>,
+    cohort: Cohort,
+}
+
+/// What a shard's lock guards.
+#[derive(Debug, Default)]
+struct ShardState {
+    groups: Vec<Group>,
+    /// Meters armed with an injected fault for their next fold.
+    armed: Vec<MeterId>,
+    /// The gather buffer, reused by every advance.
+    scratch: Vec<f64>,
 }
 
 /// A group of meters sharing one compiled kernel, advanced by one worker
-/// task per tick.
+/// task per advance.
 struct Shard {
     /// `CompiledContract::fingerprint().0` of the shard's kernel.
     fingerprint: u64,
     kernel: Arc<CompiledContract>,
-    /// `(meter id, accrual)` — slot positions are tracked in the fleet
-    /// directory and patched up on `swap_remove`. Locked once per advance
-    /// per worker; `&mut self` paths use the lock-free `get_mut`.
-    meters: ShardMeters,
+    /// Locked once per advance per worker; `&mut self` paths use the
+    /// lock-free `get_mut`.
+    state: Mutex<ShardState>,
+}
+
+/// Where a meter lives: its shard, its cohort in the shard, its lane in the
+/// cohort.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    shard: u32,
+    group: u32,
+    lane: u32,
 }
 
 /// What one fleet advance (tick, frame, or window) did with its samples.
 ///
 /// Every offered sample lands in exactly one bucket: `applied` (folded into
-/// a healthy meter), `dropped` (its meter was quarantined — before this
-/// advance, or earlier in this advance by a panic), or the panicking sample
-/// itself, which is counted in `dropped` *and* names its meter in
-/// `newly_quarantined`.
+/// a healthy meter) or `dropped` (its meter was quarantined before this
+/// advance, or is quarantined by it — an armed fault or a panicking cohort
+/// fold, whose meters are named in `newly_quarantined`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetTickReport {
     /// Samples offered to the advance.
     pub samples: usize,
     /// Samples folded into healthy meters.
     pub applied: usize,
-    /// Samples discarded because their meter is quarantined (including the
-    /// sample whose fold panicked and, for windows, the rest of that
-    /// meter's window).
+    /// Samples discarded because their meter is quarantined (including, for
+    /// a meter quarantined by this advance, all of its samples in it).
     pub dropped: usize,
     /// Meters quarantined by this advance, with the panic message that
     /// condemned them, in meter-id order. The reason is shared (`Arc`)
@@ -254,6 +327,9 @@ pub struct FleetStats {
     pub meters: usize,
     /// Live shards.
     pub shards: usize,
+    /// Cohorts across all shards: meters that advance in lockstep share
+    /// one, so a shard whose meters all fold every frame holds one.
+    pub cohorts: usize,
     /// Distinct compiled kernels (one per distinct contract).
     pub contracts: usize,
     /// Registrations and delta moves that reused an existing kernel.
@@ -266,8 +342,9 @@ pub struct FleetStats {
     /// Scatter plan builds (first advance, population changes, new frame
     /// shapes).
     pub plan_builds: u64,
-    /// Mean accrual state size per meter, in bytes (excludes the shared
-    /// kernels — that is the point of sharding).
+    /// Mean accrual state size per meter, in bytes: the cohorts' shared
+    /// state spread over their members plus every per-meter column
+    /// (excludes the shared kernels — that is the point of sharding).
     pub bytes_per_meter: f64,
     /// Ticks advanced so far.
     pub ticks: u64,
@@ -301,7 +378,7 @@ impl FleetStats {
     }
 }
 
-/// Per-shard fold outcome: `(applied, dropped, quarantined)`.
+/// One worker's fold outcome: `(applied, dropped, quarantined)`.
 type ShardOutcome = (usize, usize, Vec<(MeterId, Arc<str>)>);
 
 /// A sharded fleet of streaming meters over one calendar and compile
@@ -342,25 +419,21 @@ pub struct MeterFleet {
     /// Round-robin counters per kernel fingerprint.
     rr: HashMap<u64, usize>,
     shards: Vec<Shard>,
-    /// `meter id -> (shard, slot)`.
-    directory: Vec<(usize, usize)>,
+    /// `meter id -> slot`.
+    directory: Vec<Slot>,
     /// `meter id -> panic message` of meters retired by a panicking fold.
     /// Quarantined meters drop their samples and refuse `finalize` /
     /// `snapshot`; [`MeterFleet::restore`] rehabilitates them. Reasons are
     /// `Arc`-shared with the tick reports that minted them.
     quarantined: HashMap<usize, Arc<str>>,
     /// Monotone population version: bumped by anything that moves meters
-    /// between shards or changes quarantine membership. A `ScatterPlan`
-    /// is valid only while its version matches.
+    /// between shards or cohorts, or changes quarantine membership. A
+    /// `ScatterPlan` is valid only while its version matches.
     pop_version: u64,
     /// The cached scatter plan of the most recent frame shape.
     plan: Option<ScatterPlan>,
     plan_hits: u64,
     plan_builds: u64,
-    /// Epoch-stamped scratch for duplicate-meter detection during plan
-    /// builds (meter id → last epoch seen), reused across rebuilds.
-    stamp: Vec<u32>,
-    stamp_epoch: u32,
     ticks: u64,
     tick_nanos: u128,
     samples: u64,
@@ -396,8 +469,6 @@ impl MeterFleet {
             plan: None,
             plan_hits: 0,
             plan_builds: 0,
-            stamp: Vec::new(),
-            stamp_epoch: 0,
             ticks: 0,
             tick_nanos: 0,
             samples: 0,
@@ -459,37 +530,51 @@ impl MeterFleet {
         self.add_meter(kernel, start, step)
     }
 
-    /// Place a fresh accrual on one of its kernel's sub-shards.
+    /// Start a fresh meter on one of its kernel's sub-shards: a new lane of
+    /// the shard's newest cohort when that cohort has not folded anything
+    /// yet under the same geometry, a cohort of its own otherwise.
     fn add_meter(
         &mut self,
         kernel: Arc<CompiledContract>,
         start: SimTime,
         step: Duration,
     ) -> Result<MeterId> {
-        let accrual = BillAccrual::new(Arc::clone(&kernel), start, step)?;
+        let mut fresh = Cohort::new(&kernel, start, step, &IntervalSet::empty())?;
         let id = MeterId(self.directory.len());
-        let (shard, slot) = self.place(kernel, accrual, id);
-        self.directory.push((shard, slot));
+        let shard = self.shard_for(kernel);
+        let state = lock_mut(&mut self.shards[shard].state);
+        let newest = state.groups.len().saturating_sub(1);
+        let slot = match state.groups.last_mut() {
+            Some(last) if last.cohort.joins(&fresh) => {
+                last.cohort.push_member();
+                last.ids.push(id);
+                slot(shard, newest, last.ids.len() - 1)
+            }
+            _ => {
+                fresh.push_member();
+                state.groups.push(Group {
+                    ids: vec![id],
+                    cohort: fresh,
+                });
+                slot(shard, state.groups.len() - 1, 0)
+            }
+        };
+        self.directory.push(slot);
         self.pop_version += 1;
         Ok(id)
     }
 
-    /// Round-robin an accrual across its kernel's sub-shards, creating
+    /// Round-robin a placement across `kernel`'s sub-shards, creating
     /// sub-shards lazily up to the per-contract cap.
-    fn place(
-        &mut self,
-        kernel: Arc<CompiledContract>,
-        accrual: BillAccrual,
-        id: MeterId,
-    ) -> (usize, usize) {
+    fn shard_for(&mut self, kernel: Arc<CompiledContract>) -> usize {
         let fp = kernel.fingerprint().0;
         let list = self.shard_index.entry(fp).or_default();
-        let shard = if list.len() < self.shards_per_contract {
+        if list.len() < self.shards_per_contract {
             let idx = self.shards.len();
             self.shards.push(Shard {
                 fingerprint: fp,
                 kernel,
-                meters: Mutex::new(Vec::new()),
+                state: Mutex::new(ShardState::default()),
             });
             list.push(idx);
             idx
@@ -498,10 +583,39 @@ impl MeterFleet {
             let idx = list[*rr % list.len()];
             *rr += 1;
             idx
-        };
-        let meters = lock_mut(&mut self.shards[shard].meters);
-        meters.push((id, accrual));
-        (shard, meters.len() - 1)
+        }
+    }
+
+    /// Add `group` to `shard` as a cohort of its own; the next plan build
+    /// merges it with any cohort it joins.
+    fn add_group(&mut self, shard: usize, group: Group) {
+        let state = lock_mut(&mut self.shards[shard].state);
+        let g = state.groups.len();
+        for (lane, id) in group.ids.iter().enumerate() {
+            self.directory[id.0] = slot(shard, g, lane);
+        }
+        state.groups.push(group);
+    }
+
+    /// Take the meter at `at` out of its cohort, patching the directory
+    /// entries of whatever moves into the vacated lane and cohort slot.
+    fn remove_lane(&mut self, at: Slot) {
+        let (shard, g, lane) = (at.shard as usize, at.group as usize, at.lane as usize);
+        let state = lock_mut(&mut self.shards[shard].state);
+        let group = &mut state.groups[g];
+        group.cohort.swap_remove(lane);
+        group.ids.swap_remove(lane);
+        if let Some(moved) = group.ids.get(lane) {
+            self.directory[moved.0].lane = lane as u32;
+        }
+        if group.ids.is_empty() {
+            state.groups.swap_remove(g);
+            if let Some(moved) = state.groups.get(g) {
+                for (lane, id) in moved.ids.iter().enumerate() {
+                    self.directory[id.0] = slot(shard, g, lane);
+                }
+            }
+        }
     }
 
     /// Advance the fleet by one tick of AoS samples:
@@ -515,90 +629,55 @@ impl MeterFleet {
 
     /// Advance the fleet by one columnar [`TickFrame`]: resolve the frame
     /// against the population through the cached `ScatterPlan`, then fold
-    /// every shard's bucket in parallel. On the steady state (same id
-    /// lane, unchanged population) no directory or quarantine probes
-    /// happen at all, and shard workers pull the power lane directly
-    /// through the plan's prefix-sum buckets. A meter absent from the
-    /// frame simply lags — its accrual keeps its own clock. Samples for the
-    /// same meter fold in frame order.
+    /// every shard's cohorts in parallel, each as a block one tick wide.
+    /// On the steady state (same id lane, unchanged population) no
+    /// directory or quarantine probes happen at all, and shard workers
+    /// gather the power lane directly through the plan. A meter absent
+    /// from the frame simply lags — it keeps its own clock, in a cohort of
+    /// the meters that lag with it. Samples for the same meter fold in
+    /// frame order.
     ///
     /// The plan resolves the whole id lane before anything folds, so a
     /// frame naming an unknown meter errors without applying any sample.
     ///
-    /// The fleet degrades instead of dying: a fold that *panics* (a
-    /// poisoned accrual, an injected fault) quarantines that one meter —
-    /// its sample and the rest of its batch are dropped, every other meter
-    /// folds normally, and the casualty is reported in
+    /// The fleet degrades instead of dying (see the module's failure
+    /// model): an armed fault quarantines its one meter and drops its
+    /// samples, a fold that *panics* quarantines its whole cohort, every
+    /// other meter folds normally, and the casualties are reported in
     /// [`FleetTickReport::newly_quarantined`]. Subsequent advances drop the
-    /// quarantined meter's samples through the rebuilt plan until
-    /// [`MeterFleet::restore`] rehabilitates it from a known-good snapshot.
-    /// Typed errors (grid misuse, horizon overrun) still fail the advance.
+    /// quarantined meters' samples through the rebuilt plan until
+    /// [`MeterFleet::restore`] rehabilitates them from a known-good
+    /// snapshot. Typed errors (grid misuse, horizon overrun) still fail
+    /// the advance.
     pub fn advance_frame(&mut self, frame: &TickFrame) -> Result<FleetTickReport> {
-        let t0 = Instant::now();
-        self.ensure_plan(&frame.meters)?;
-        let mut report;
-        let worked;
-        {
-            let plan = self.plan.as_ref().expect("plan was just ensured");
-            report = FleetTickReport {
-                samples: frame.len(),
-                dropped: plan.dropped_per_tick,
-                ..FleetTickReport::default()
-            };
-            let powers = frame.powers();
-            let shards = &self.shards;
-            let shard_ids: Vec<usize> = (0..shards.len()).collect();
-            worked = try_par_map(&shard_ids, |&s| -> Result<ShardOutcome> {
-                let meters = &mut *lock(&shards[s].meters);
-                let (lo, hi) = (plan.offsets[s], plan.offsets[s + 1]);
-                fold_shard(
-                    meters,
-                    plan.slots[lo..hi]
-                        .iter()
-                        .zip(&plan.positions[lo..hi])
-                        .map(|(&slot, &pos)| (slot as usize, powers[pos as usize])),
-                )
-            })
-            .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
-        }
-        self.absorb_outcomes(&mut report, worked)?;
-        self.ticks += 1;
-        self.samples += report.applied as u64;
-        self.tick_nanos += t0.elapsed().as_nanos();
-        Ok(report)
+        self.advance_block(std::slice::from_ref(frame))
     }
 
     /// Advance the fleet by a whole window of frames in one fused pass —
     /// semantically identical to calling [`MeterFleet::advance_frame`]
-    /// once per frame in order, but each meter's window of samples is
-    /// gathered into one contiguous run and folded by a single
-    /// [`BillAccrual::push_run`], so cursor state stays hot and
-    /// `catch_unwind` is paid once per meter-window.
+    /// once per frame in order, but each cohort folds the window as one
+    /// block, so cursor state stays hot and `catch_unwind` is paid once
+    /// per cohort tile, not per sample.
     ///
     /// The fused pass needs one scatter plan for the whole window: every
     /// frame must carry the same meter-id lane (share it by `Arc` to make
-    /// the check a pointer compare) with no duplicate meters. Windows that
-    /// don't qualify degrade gracefully to per-frame advances — same
-    /// bills, same report, just without the fusion win.
+    /// the check a pointer compare). Windows that don't qualify degrade
+    /// gracefully to per-frame advances — same bills, same report, just
+    /// without the fusion win.
     ///
-    /// A meter that panics mid-window is quarantined and the *rest of its
-    /// window* is dropped; every other meter still folds its full window.
+    /// A meter armed with a fault loses its whole window; a cohort whose
+    /// fold panics loses its members' whole window. Every other meter
+    /// still folds its full window.
     pub fn advance_window(&mut self, frames: &[TickFrame]) -> Result<FleetTickReport> {
         let (first, rest) = match frames.split_first() {
             None => return Ok(FleetTickReport::default()),
             Some(split) => split,
         };
-        if rest.is_empty() {
-            return self.advance_frame(first);
-        }
         let homogeneous = rest
             .iter()
             .all(|f| Arc::ptr_eq(&f.meters, &first.meters) || f.meters[..] == first.meters[..]);
         if homogeneous {
-            self.ensure_plan(&first.meters)?;
-            if self.plan.as_ref().is_some_and(|p| p.unique) {
-                return self.advance_window_fused(frames);
-            }
+            return self.advance_block(frames);
         }
         let mut report = FleetTickReport::default();
         for frame in frames {
@@ -608,56 +687,28 @@ impl MeterFleet {
         Ok(report)
     }
 
-    /// The fused window fold: one `push_run` per meter per window. The
-    /// plan is already ensured, current, and duplicate-free.
-    fn advance_window_fused(&mut self, frames: &[TickFrame]) -> Result<FleetTickReport> {
+    /// The one fleet advance: frames sharing one id lane, folded as one
+    /// block per planned cohort.
+    fn advance_block(&mut self, frames: &[TickFrame]) -> Result<FleetTickReport> {
         let t0 = Instant::now();
-        let w = frames.len();
+        self.ensure_plan(&frames[0].meters)?;
         let mut report;
         let worked;
         {
-            let plan = self.plan.as_ref().expect("plan ensured by advance_window");
+            let plan = self.plan.as_ref().expect("plan was just ensured");
             report = FleetTickReport {
-                samples: frames[0].len() * w,
-                dropped: plan.dropped_per_tick * w,
+                samples: frames[0].len() * frames.len(),
+                dropped: plan.dropped_per_tick * frames.len(),
                 ..FleetTickReport::default()
             };
             let shards = &self.shards;
-            let shard_ids: Vec<usize> = (0..shards.len()).collect();
-            worked = try_par_map(&shard_ids, |&s| -> Result<ShardOutcome> {
-                let meters = &mut *lock(&shards[s].meters);
-                let mut run: Vec<Power> = Vec::with_capacity(w);
-                let mut applied = 0usize;
-                let mut dropped = 0usize;
-                let mut panicked: Vec<(MeterId, Arc<str>)> = Vec::new();
-                for k in plan.offsets[s]..plan.offsets[s + 1] {
-                    let slot = plan.slots[k] as usize;
-                    let pos = plan.positions[k] as usize;
-                    run.clear();
-                    run.extend(frames.iter().map(|f| f.powers[pos]));
-                    let (id, accrual) = &mut meters[slot];
-                    let before = accrual.samples();
-                    match catch_unwind(AssertUnwindSafe(|| accrual.push_run(&run))) {
-                        Ok(pushed) => {
-                            pushed?;
-                            applied += w;
-                        }
-                        Err(payload) => {
-                            // The fold got `done` samples in before dying;
-                            // the rest of this meter's window is dropped.
-                            let done = (accrual.samples() - before) as usize;
-                            applied += done;
-                            dropped += w - done;
-                            panicked.push((*id, panic_reason(payload)));
-                        }
-                    }
-                }
-                Ok((applied, dropped, panicked))
+            worked = try_par_map(&plan.tasks, |task| {
+                advance_task(shards, plan, &plan.work[task.clone()], frames)
             })
             .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
         }
         self.absorb_outcomes(&mut report, worked)?;
-        self.ticks += w as u64;
+        self.ticks += frames.len() as u64;
         self.samples += report.applied as u64;
         self.tick_nanos += t0.elapsed().as_nanos();
         Ok(report)
@@ -680,10 +731,11 @@ impl MeterFleet {
         Ok(())
     }
 
-    /// Resolve one frame shape against the current population: two O(n)
-    /// passes (bucket counts, then prefix-sum fill), with quarantine
-    /// membership folded in (quarantined positions are dropped from the
-    /// plan, so the steady-state tick never probes the quarantine map).
+    /// Resolve one frame shape against the current population: count each
+    /// meter's appearances (quarantined ones are dropped from the plan, so
+    /// the steady-state advance never probes the quarantine map), reshape
+    /// every shard's cohorts for that shape, then lay out each folding
+    /// cohort's frame positions in lane order.
     fn build_plan(&mut self, meters: &Arc<[MeterId]>) -> Result<ScatterPlan> {
         if meters.len() > u32::MAX as usize {
             return Err(CoreError::BadSeries(format!(
@@ -691,63 +743,75 @@ impl MeterFleet {
                 meters.len()
             )));
         }
-        let nshards = self.shards.len();
-        let mut counts = vec![0usize; nshards];
+        let mut count = vec![0u32; self.directory.len()];
         let mut dropped_per_tick = 0usize;
-        let check_quarantine = !self.quarantined.is_empty();
         for m in meters.iter() {
-            let (shard, _) = *self
-                .directory
-                .get(m.0)
-                .ok_or_else(|| CoreError::BadSeries(format!("unknown {}", m)))?;
-            if check_quarantine && self.quarantined.contains_key(&m.0) {
+            if m.0 >= self.directory.len() {
+                return Err(CoreError::BadSeries(format!("unknown {m}")));
+            }
+            if !self.quarantined.is_empty() && self.quarantined.contains_key(&m.0) {
                 dropped_per_tick += 1;
-                continue;
-            }
-            counts[shard] += 1;
-        }
-        let mut offsets = vec![0usize; nshards + 1];
-        for s in 0..nshards {
-            offsets[s + 1] = offsets[s] + counts[s];
-        }
-        let total = offsets[nshards];
-        let mut slots = vec![0u32; total];
-        let mut positions = vec![0u32; total];
-        let mut cursor = offsets.clone();
-        // Epoch-stamped duplicate detection: one u32 store per meter, no
-        // clearing between rebuilds.
-        self.stamp_epoch = self.stamp_epoch.wrapping_add(1);
-        if self.stamp_epoch == 0 {
-            self.stamp.clear();
-            self.stamp_epoch = 1;
-        }
-        if self.stamp.len() < self.directory.len() {
-            self.stamp.resize(self.directory.len(), 0);
-        }
-        let mut unique = true;
-        for (pos, m) in meters.iter().enumerate() {
-            if check_quarantine && self.quarantined.contains_key(&m.0) {
-                continue;
-            }
-            let (shard, slot) = self.directory[m.0];
-            if self.stamp[m.0] == self.stamp_epoch {
-                unique = false;
             } else {
-                self.stamp[m.0] = self.stamp_epoch;
+                count[m.0] += 1;
             }
-            let k = cursor[shard];
-            slots[k] = slot as u32;
-            positions[k] = pos as u32;
-            cursor[shard] += 1;
         }
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            reshape(s, shard, &mut self.directory, &self.quarantined, &count);
+        }
+        // Each meter's frame positions: the first in `first`, and for
+        // meters named more than once, all of them (in frame order) in
+        // `repeats`, sorted by meter.
+        let mut first = vec![0u32; self.directory.len()];
+        let mut repeats: Vec<(usize, u32)> = Vec::new();
+        for (pos, m) in meters.iter().enumerate() {
+            match count[m.0] {
+                0 => {}
+                1 => first[m.0] = pos as u32,
+                _ => repeats.push((m.0, pos as u32)),
+            }
+        }
+        repeats.sort_by_key(|&(m, _)| m);
+        let mut work = Vec::new();
+        let mut groups = Vec::new();
+        let mut positions = Vec::with_capacity(meters.len() - dropped_per_tick);
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            let lo = groups.len();
+            for (g, group) in lock_mut(&mut shard.state).groups.iter().enumerate() {
+                let per_frame = count[group.ids[0].0] as usize;
+                if per_frame == 0 {
+                    continue;
+                }
+                let p0 = positions.len();
+                if per_frame == 1 {
+                    positions.extend(group.ids.iter().map(|id| first[id.0]));
+                } else {
+                    let m = group.ids[0].0;
+                    let at = repeats.partition_point(|&(r, _)| r < m);
+                    positions.extend(repeats[at..at + per_frame].iter().map(|&(_, p)| p));
+                }
+                groups.push(PlanGroup {
+                    group: g,
+                    per_frame,
+                    positions: p0..positions.len(),
+                });
+            }
+            if groups.len() > lo {
+                work.push((s, lo..groups.len()));
+            }
+        }
+        let per_task = work.len().div_ceil(default_threads(work.len()));
+        let tasks = (0..work.len())
+            .step_by(per_task.max(1))
+            .map(|lo| lo..(lo + per_task).min(work.len()))
+            .collect();
         Ok(ScatterPlan {
             version: self.pop_version,
             meters: Arc::clone(meters),
-            offsets,
-            slots,
+            work,
+            tasks,
+            groups,
             positions,
             dropped_per_tick,
-            unique,
         })
     }
 
@@ -777,12 +841,15 @@ impl MeterFleet {
 
     /// Close the books of one meter — bit-identical to the batch bill of
     /// its pushed history (see the [`crate::accrual`] invariant). Errors
-    /// with [`CoreError::Quarantined`] for a quarantined meter: its accrual
-    /// died mid-fold and its state is not trustworthy.
+    /// with [`CoreError::Quarantined`] for a quarantined meter: its state
+    /// died mid-fold and is not trustworthy.
     pub fn finalize(&self, meter: MeterId) -> Result<Bill> {
         self.check_quarantine(meter)?;
-        let (shard, slot) = self.locate(meter)?;
-        lock(&self.shards[shard].meters)[slot].1.finalize()
+        let at = self.locate(meter)?;
+        let shard = &self.shards[at.shard as usize];
+        lock(&shard.state).groups[at.group as usize]
+            .cohort
+            .finalize(&shard.kernel, at.lane as usize)
     }
 
     /// Close the books of every *healthy* meter, in parallel, returned in
@@ -791,11 +858,16 @@ impl MeterFleet {
     pub fn finalize_all(&self) -> Result<Vec<(MeterId, Bill)>> {
         let quarantined = &self.quarantined;
         let per_shard = try_par_map(&self.shards, |shard| -> Result<Vec<(MeterId, Bill)>> {
-            lock(&shard.meters)
-                .iter()
-                .filter(|(id, _)| !quarantined.contains_key(&id.0))
-                .map(|(id, acc)| acc.finalize().map(|b| (*id, b)))
-                .collect()
+            let state = lock(&shard.state);
+            let mut bills = Vec::new();
+            for group in &state.groups {
+                for (lane, id) in group.ids.iter().enumerate() {
+                    if !quarantined.contains_key(&id.0) {
+                        bills.push((*id, group.cohort.finalize(&shard.kernel, lane)?));
+                    }
+                }
+            }
+            Ok(bills)
         })
         .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
         let mut bills: Vec<(MeterId, Bill)> =
@@ -812,8 +884,15 @@ impl MeterFleet {
     /// half-folded accrual must never reach a checkpoint.
     pub fn snapshot(&self, meter: MeterId) -> Result<AccrualSnapshot> {
         self.check_quarantine(meter)?;
-        let (shard, slot) = self.locate(meter)?;
-        Ok(lock(&self.shards[shard].meters)[slot].1.snapshot())
+        let at = self.locate(meter)?;
+        Ok(self.snapshot_at(at))
+    }
+
+    fn snapshot_at(&self, at: Slot) -> AccrualSnapshot {
+        let shard = &self.shards[at.shard as usize];
+        lock(&shard.state).groups[at.group as usize]
+            .cohort
+            .snapshot(&shard.kernel, at.lane as usize)
     }
 
     /// Snapshot every healthy meter in meter-id order — the payload of a
@@ -822,28 +901,34 @@ impl MeterFleet {
     pub fn snapshot_all(&self) -> Vec<(u64, AccrualSnapshot)> {
         (0..self.directory.len())
             .filter(|id| !self.quarantined.contains_key(id))
-            .map(|id| {
-                let (shard, slot) = self.directory[id];
-                let snap = lock(&self.shards[shard].meters)[slot].1.snapshot();
-                (id as u64, snap)
-            })
+            .map(|id| (id as u64, self.snapshot_at(self.directory[id])))
             .collect()
     }
 
     /// Restore one meter's accrual state from a snapshot taken against the
     /// same contract (validated by kernel fingerprint). The restored meter
-    /// continues streaming bit-identically to the original. Restoring a
-    /// quarantined meter rehabilitates it — the snapshot replaces the
-    /// untrustworthy state wholesale.
+    /// continues streaming bit-identically to the original, in a cohort of
+    /// its own until the next plan build merges it with any cohort whose
+    /// clock it shares. Restoring a quarantined meter rehabilitates it —
+    /// the snapshot replaces the untrustworthy state wholesale — and
+    /// restoring disarms a pending chaos fault.
     pub fn restore(&mut self, meter: MeterId, snap: &AccrualSnapshot) -> Result<()> {
-        let (shard, slot) = self.locate(meter)?;
-        let kernel = Arc::clone(&self.shards[shard].kernel);
-        let restored = BillAccrual::restore(kernel, snap)?;
-        lock_mut(&mut self.shards[shard].meters)[slot].1 = restored;
-        if self.quarantined.remove(&meter.0).is_some() {
-            // Rehabilitation re-admits the meter to scatter plans.
-            self.pop_version += 1;
-        }
+        let at = self.locate(meter)?;
+        let shard = at.shard as usize;
+        let cohort = Cohort::restore(&self.shards[shard].kernel, snap)?;
+        lock_mut(&mut self.shards[shard].state)
+            .armed
+            .retain(|&id| id != meter);
+        self.remove_lane(at);
+        self.add_group(
+            shard,
+            Group {
+                ids: vec![meter],
+                cohort,
+            },
+        );
+        self.quarantined.remove(&meter.0);
+        self.pop_version += 1;
         Ok(())
     }
 
@@ -876,14 +961,19 @@ impl MeterFleet {
         self.quarantined.contains_key(&meter.0)
     }
 
-    /// Arm a one-shot injected panic on `meter`'s next fold — the chaos
-    /// hook behind the fleet degradation tests. Test-only plumbing.
+    /// Arm a one-shot injected fault on `meter`'s next fold — the chaos
+    /// hook behind the fleet degradation tests: the fold drops the meter's
+    /// samples and quarantines it with an "injected meter panic" reason.
+    /// Test-only plumbing.
     #[doc(hidden)]
     pub fn chaos_poison_meter(&mut self, meter: MeterId) -> Result<()> {
-        let (shard, slot) = self.locate(meter)?;
-        lock_mut(&mut self.shards[shard].meters)[slot]
-            .1
-            .poison_next_push();
+        let at = self.locate(meter)?;
+        lock_mut(&mut self.shards[at.shard as usize].state)
+            .armed
+            .push(meter);
+        // The next plan build gives the meter a cohort of its own, so the
+        // fault can pull it out of the block fold.
+        self.pop_version += 1;
         Ok(())
     }
 
@@ -897,33 +987,46 @@ impl MeterFleet {
     /// Patch one meter's contract mid-stream and move it to the patched
     /// kernel's shard group. The accrual continues without replaying
     /// history, so only accrual-preserving deltas are accepted — see
-    /// [`BillAccrual::rebind`] for the exact rules. On error the meter is
-    /// left untouched on its current kernel.
+    /// [`BillAccrual::rebind`](crate::accrual::BillAccrual::rebind) for the
+    /// exact rules. On error the meter is left untouched on its current
+    /// kernel.
     pub fn apply_delta(&mut self, meter: MeterId, delta: &ContractDelta) -> Result<()> {
-        let (shard, slot) = self.locate(meter)?;
+        let at = self.locate(meter)?;
+        let shard = at.shard as usize;
         let old_fp = self.shards[shard].fingerprint;
         let patched = self.shards[shard].kernel.patch(delta)?;
-        let new_fp = patched.fingerprint().0;
-        if new_fp == old_fp {
+        if patched.fingerprint().0 == old_fp {
             return Ok(()); // delta was a no-op; kernel content unchanged
         }
         let kernel = self.kernels.get_or_insert(Arc::new(patched))?;
-        // Rebind first: if the delta is not accrual-preserving this fails
-        // and the meter stays where it is.
-        let mut accrual = lock_mut(&mut self.shards[shard].meters)[slot].1.clone();
-        accrual.rebind(Arc::clone(&kernel))?;
-        // Remove from the old shard, patching the directory entry of
-        // whichever meter swap_remove moved into the vacated slot.
-        {
-            let meters = lock_mut(&mut self.shards[shard].meters);
-            meters.swap_remove(slot);
-            if let Some((moved_id, _)) = meters.get(slot) {
-                self.directory[moved_id.0] = (shard, slot);
-            }
+        // Rebind a copy first: if the delta is not accrual-preserving this
+        // fails and the meter stays where it is.
+        let (one, armed) = {
+            let sh = &mut self.shards[shard];
+            let state = lock_mut(&mut sh.state);
+            let mut one = state.groups[at.group as usize]
+                .cohort
+                .select(&[at.lane as usize]);
+            one.rebind(&sh.kernel, &kernel)?;
+            let armed = state.armed.contains(&meter);
+            state.armed.retain(|&id| id != meter);
+            (one, armed)
+        };
+        self.remove_lane(at);
+        let new_shard = self.shard_for(kernel);
+        self.add_group(
+            new_shard,
+            Group {
+                ids: vec![meter],
+                cohort: one,
+            },
+        );
+        if armed {
+            lock_mut(&mut self.shards[new_shard].state)
+                .armed
+                .push(meter);
         }
-        let (new_shard, new_slot) = self.place(kernel, accrual, meter);
-        self.directory[meter.0] = (new_shard, new_slot);
-        // Two directory entries moved; cached scatter plans are stale.
+        // Directory entries moved; cached scatter plans are stale.
         self.pop_version += 1;
         Ok(())
     }
@@ -938,10 +1041,11 @@ impl MeterFleet {
     /// register those with [`MeterFleet::register`] instead.
     ///
     /// The delta must be accrual-preserving (the
-    /// [`BillAccrual::rebind`] rules); events that would re-price history
-    /// are rejected and the meter stays where it is — close its books and
-    /// re-register to take such a revision mid-stream, or bill the horizon
-    /// through [`ContractLedger::bill_as_of`](crate::ledger::ContractLedger::bill_as_of).
+    /// [`BillAccrual::rebind`](crate::accrual::BillAccrual::rebind) rules);
+    /// events that would re-price history are rejected and the meter stays
+    /// where it is — close its books and re-register to take such a
+    /// revision mid-stream, or bill the horizon through
+    /// [`ContractLedger::bill_as_of`](crate::ledger::ContractLedger::bill_as_of).
     pub fn apply_event(&mut self, meter: MeterId, event: &LedgerEvent) -> Result<()> {
         match &event.payload {
             EventPayload::Delta(delta) => self.apply_delta(meter, delta),
@@ -952,21 +1056,25 @@ impl MeterFleet {
         }
     }
 
-    /// Operating statistics: meter count, memory per meter, kernel and
-    /// scatter-plan reuse, and streaming throughput.
+    /// Operating statistics: meter and cohort counts, memory per meter,
+    /// kernel and scatter-plan reuse, and streaming throughput.
     pub fn stats(&self) -> FleetStats {
         let mut bytes: usize = 0;
+        let mut cohorts = 0usize;
         for shard in &self.shards {
-            bytes += lock(&shard.meters)
-                .iter()
-                .map(|(_, acc)| acc.approx_bytes())
-                .sum::<usize>();
+            let mut state = lock(&shard.state);
+            cohorts += state.groups.len();
+            for group in &mut state.groups {
+                bytes += group.cohort.approx_bytes()
+                    + group.ids.capacity() * std::mem::size_of::<MeterId>();
+            }
         }
         let meters = self.directory.len();
         let secs = self.tick_nanos as f64 / 1e9;
         FleetStats {
             meters,
             shards: self.shards.len(),
+            cohorts,
             contracts: self.kernels.len(),
             kernel_hits: self.kernels.hits(),
             kernel_misses: self.kernels.misses(),
@@ -988,7 +1096,7 @@ impl MeterFleet {
         }
     }
 
-    fn locate(&self, meter: MeterId) -> Result<(usize, usize)> {
+    fn locate(&self, meter: MeterId) -> Result<Slot> {
         self.directory
             .get(meter.0)
             .copied()
@@ -996,41 +1104,262 @@ impl MeterFleet {
     }
 }
 
-/// Fold one shard's scattered `(slot, power)` pulls in tick order,
-/// quarantining panicking meters per-push. Membership of the panicked set
-/// is a lazily-allocated slot bitmap: O(1) per sample, and the common
-/// panic-free tick never allocates or probes it.
-fn fold_shard(
-    meters: &mut [(MeterId, BillAccrual)],
-    pulls: impl Iterator<Item = (usize, Power)>,
-) -> Result<ShardOutcome> {
-    let mut applied = 0usize;
-    let mut dropped = 0usize;
-    let mut panicked: Vec<(MeterId, Arc<str>)> = Vec::new();
-    let mut bits: Vec<u64> = Vec::new();
-    let words = meters.len().div_ceil(64).max(1);
-    for (slot, power) in pulls {
-        if !bits.is_empty() && bits[slot / 64] & (1 << (slot % 64)) != 0 {
-            dropped += 1;
-            continue;
+fn slot(shard: usize, group: usize, lane: usize) -> Slot {
+    Slot {
+        shard: shard as u32,
+        group: group as u32,
+        lane: lane as u32,
+    }
+}
+
+/// Regroup one shard's cohorts for a frame shape (`count`: appearances per
+/// meter id, zero for absent and quarantined meters): cohorts with equal
+/// clocks merge, and each merged cohort splits into the members the frame
+/// names once (they fold together), the members it omits (they lag
+/// together), and a cohort of one for every member that cannot fold with
+/// the others — named more than once, armed with a fault, or quarantined.
+/// The directory follows every member that moves.
+fn reshape(
+    s: usize,
+    shard: &mut Shard,
+    directory: &mut [Slot],
+    quarantined: &HashMap<usize, Arc<str>>,
+    count: &[u32],
+) {
+    /// How a member takes part in the frame.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Part {
+        Folds,
+        Lags,
+        Alone,
+    }
+    let state = lock_mut(&mut shard.state);
+    let part = |id: MeterId| {
+        let c = count[id.0];
+        if c > 1
+            || (c == 1 && !state.armed.is_empty() && state.armed.contains(&id))
+            || (!quarantined.is_empty() && quarantined.contains_key(&id.0))
+        {
+            Part::Alone
+        } else if c == 1 {
+            Part::Folds
+        } else {
+            Part::Lags
         }
-        let (id, accrual) = &mut meters[slot];
-        match catch_unwind(AssertUnwindSafe(|| accrual.push_next(power))) {
-            Ok(pushed) => {
-                pushed?;
-                applied += 1;
-            }
-            Err(payload) => {
-                dropped += 1;
-                if bits.is_empty() {
-                    bits = vec![0u64; words];
+    };
+    // Clock classes: the first cohort of each class represents it.
+    let mut reps: Vec<usize> = Vec::new();
+    let mut class = Vec::with_capacity(state.groups.len());
+    for (g, group) in state.groups.iter().enumerate() {
+        let c = reps
+            .iter()
+            .position(|&r| state.groups[r].cohort.joins(&group.cohort))
+            .unwrap_or_else(|| {
+                reps.push(g);
+                reps.len() - 1
+            });
+        class.push(c);
+    }
+    // Target buckets — one per (class, part) for the members that fold or
+    // lag together, one per lone member — each a list of (source cohort,
+    // lanes) parts.
+    let mut shared: Vec<((usize, Part), usize)> = Vec::new();
+    let mut buckets: Vec<Vec<(usize, Vec<usize>)>> = Vec::new();
+    for (g, group) in state.groups.iter().enumerate() {
+        for (lane, &id) in group.ids.iter().enumerate() {
+            let key = (class[g], part(id));
+            let found = shared.iter().find(|(k, _)| *k == key).map(|&(_, b)| b);
+            let b = match found {
+                Some(b) if key.1 != Part::Alone => b,
+                _ => {
+                    buckets.push(Vec::new());
+                    if key.1 != Part::Alone {
+                        shared.push((key, buckets.len() - 1));
+                    }
+                    buckets.len() - 1
                 }
-                bits[slot / 64] |= 1 << (slot % 64);
-                panicked.push((*id, panic_reason(payload)));
+            };
+            match buckets[b].last_mut() {
+                Some((src, lanes)) if *src == g => lanes.push(lane),
+                _ => buckets[b].push((g, vec![lane])),
             }
         }
     }
-    Ok((applied, dropped, panicked))
+    // Nothing to do when every bucket is exactly one whole cohort.
+    let unchanged = buckets.len() == state.groups.len()
+        && buckets.iter().all(|parts| {
+            parts.len() == 1 && parts[0].1.len() == state.groups[parts[0].0].ids.len()
+        });
+    if unchanged {
+        return;
+    }
+    let mut old: Vec<Option<Group>> = std::mem::take(&mut state.groups)
+        .into_iter()
+        .map(Some)
+        .collect();
+    for parts in buckets {
+        let mut merged: Option<Group> = None;
+        for (g, lanes) in parts {
+            let whole = old[g]
+                .as_ref()
+                .is_some_and(|src| lanes.len() == src.ids.len());
+            let piece = if whole {
+                old[g].take().expect("a whole cohort moves once")
+            } else {
+                let src = old[g].as_ref().expect("split cohorts stay in place");
+                Group {
+                    ids: lanes.iter().map(|&l| src.ids[l]).collect(),
+                    cohort: src.cohort.select(&lanes),
+                }
+            };
+            match &mut merged {
+                None => merged = Some(piece),
+                Some(m) => {
+                    m.ids.extend(piece.ids);
+                    m.cohort.append(piece.cohort);
+                }
+            }
+        }
+        state.groups.extend(merged);
+    }
+    for (g, group) in state.groups.iter().enumerate() {
+        for (lane, id) in group.ids.iter().enumerate() {
+            directory[id.0] = slot(s, g, lane);
+        }
+    }
+}
+
+/// One worker's part of an advance: fold the planned cohorts of its shards
+/// (`work`), pulling armed meters out first and quarantining the whole
+/// cohort of a fold that panics. Cohorts fold tile by tile, tile-major
+/// across the worker's shards, so the shards' gathers from the same
+/// stretch of the frames share its cache lines.
+fn advance_task(
+    shards: &[Shard],
+    plan: &ScatterPlan,
+    work: &[(usize, Range<usize>)],
+    frames: &[TickFrame],
+) -> Result<ShardOutcome> {
+    /// A planned cohort part-way through its block.
+    struct Folding<'p> {
+        state: usize,
+        plan: &'p PlanGroup,
+        tiles: Tiles,
+        len: usize,
+        samples: usize,
+    }
+    let mut states: Vec<_> = work.iter().map(|(s, _)| lock(&shards[*s].state)).collect();
+    let (mut applied, mut dropped) = (0usize, 0usize);
+    let mut panicked: Vec<(MeterId, Arc<str>)> = Vec::new();
+    let mut overrun: Option<CoreError> = None;
+    let mut folding = Vec::new();
+    for (i, (s, groups)) in work.iter().enumerate() {
+        let ShardState {
+            groups: cohorts,
+            armed,
+            ..
+        } = &mut *states[i];
+        // Injected faults: checked once per shard per advance. The plan
+        // put every armed meter in a cohort of its own.
+        let mut check_armed = !armed.is_empty();
+        for pg in &plan.groups[groups.clone()] {
+            let group = &cohorts[pg.group];
+            let per_meter = pg.per_frame * frames.len();
+            let samples = group.ids.len() * per_meter;
+            if check_armed {
+                if let Some(a) = armed.iter().position(|id| group.ids[..] == [*id]) {
+                    armed.swap_remove(a);
+                    check_armed = !armed.is_empty();
+                    dropped += samples;
+                    panicked.push((group.ids[0], Arc::from(INJECTED_PANIC)));
+                    continue;
+                }
+            }
+            // A block running past the horizon folds its fitting prefix,
+            // then fails the advance.
+            let len = group.cohort.fit(&shards[*s].kernel, per_meter);
+            if len < per_meter && overrun.is_none() {
+                overrun = Some(group.cohort.overrun(&shards[*s].kernel));
+            }
+            folding.push(Folding {
+                state: i,
+                plan: pg,
+                tiles: group.cohort.tiles(len),
+                len,
+                samples,
+            });
+        }
+    }
+    while !folding.is_empty() {
+        folding.retain_mut(|f| {
+            let (s, _) = &work[f.state];
+            let kernel = &shards[*s].kernel;
+            let ShardState {
+                groups: cohorts,
+                scratch,
+                ..
+            } = &mut *states[f.state];
+            let group = &mut cohorts[f.plan.group];
+            let positions = &plan.positions[f.plan.positions.clone()];
+            let folded = catch_unwind(AssertUnwindSafe(|| {
+                group
+                    .cohort
+                    .fold_tile(kernel, &mut f.tiles, scratch, |lanes, buf| {
+                        gather(frames, positions, f.plan.per_frame, lanes, f.len, buf)
+                    })
+            }));
+            match folded {
+                Ok(()) if f.tiles.done(&group.cohort) => {
+                    applied += f.samples;
+                    false
+                }
+                Ok(()) => true,
+                Err(payload) => {
+                    // The block fold interleaves members, so a panic
+                    // leaves every member half-updated: the whole cohort
+                    // goes.
+                    let reason = panic_reason(payload);
+                    dropped += f.samples;
+                    panicked.extend(group.ids.iter().map(|id| (*id, Arc::clone(&reason))));
+                    false
+                }
+            }
+        });
+    }
+    match overrun {
+        Some(e) => Err(e),
+        None => Ok((applied, dropped, panicked)),
+    }
+}
+
+/// Gather members `lanes`' first `len` samples from `frames` into `buf`,
+/// meter-major: a member with `per_frame` positions per frame takes them
+/// in frame order, frame by frame.
+fn gather(
+    frames: &[TickFrame],
+    positions: &[u32],
+    per_frame: usize,
+    lanes: Range<usize>,
+    len: usize,
+    buf: &mut [f64],
+) {
+    if per_frame == 1 {
+        let positions = &positions[lanes];
+        for (j, frame) in frames[..len].iter().enumerate() {
+            let powers = Power::kilowatts_slice(&frame.powers);
+            for (i, &p) in positions.iter().enumerate() {
+                buf[i * len + j] = powers[p as usize];
+            }
+        }
+    } else {
+        for (row, lane) in buf.chunks_exact_mut(len).zip(lanes) {
+            let mine = &positions[lane * per_frame..(lane + 1) * per_frame];
+            for (s, kw) in row.iter_mut().enumerate() {
+                let frame = &frames[s / per_frame];
+                *kw = frame.powers[mine[s % per_frame] as usize].as_kilowatts();
+            }
+        }
+    }
 }
 
 /// Human-readable panic message out of a `catch_unwind` payload, shared
@@ -1045,21 +1374,69 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> Arc<str> {
     }
 }
 
-/// A shard's `(meter id, accrual)` list behind its lock.
-type ShardMeters = Mutex<Vec<(MeterId, BillAccrual)>>;
-
-/// Lock a shard from a shared borrow (the parallel advance path). Poisoning
-/// cannot leave half-applied state — a panicking task dies before its
-/// advance result is observed — so poisoned locks are recovered.
-fn lock(meters: &ShardMeters) -> std::sync::MutexGuard<'_, Vec<(MeterId, BillAccrual)>> {
-    meters.lock().unwrap_or_else(|p| p.into_inner())
+/// Lock a shard from a shared borrow (the parallel advance path). A
+/// panicking fold is caught inside the lock and its cohort quarantined, so
+/// poisoned locks are recovered.
+fn lock(state: &Mutex<ShardState>) -> std::sync::MutexGuard<'_, ShardState> {
+    state.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Lock a shard through `&mut` (registration, restore, deltas): no locking
-/// at all.
-fn lock_mut(meters: &mut ShardMeters) -> &mut Vec<(MeterId, BillAccrual)> {
-    match meters.get_mut() {
+/// Lock a shard through `&mut` (registration, restore, deltas, plan
+/// builds): no locking at all.
+fn lock_mut(state: &mut Mutex<ShardState>) -> &mut ShardState {
+    match state.get_mut() {
         Ok(s) => s,
         Err(p) => p.into_inner(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tariff::Tariff;
+    use hpcgrid_units::EnergyPrice;
+
+    /// A genuine panic inside a cohort's block fold quarantines every
+    /// member of that cohort — their state is half-updated — while the
+    /// fleet's other cohorts fold on.
+    #[test]
+    fn panicking_block_fold_quarantines_its_whole_cohort() {
+        let contract = |rate: f64| {
+            Contract::builder("panic-radius")
+                .tariff(Tariff::fixed(EnergyPrice::per_kilowatt_hour(rate)))
+                .build()
+                .unwrap()
+        };
+        let mut fleet = MeterFleet::with_shards(
+            Calendar::default(),
+            SimTime::EPOCH,
+            SimTime::from_days(30),
+            1,
+        );
+        let step = Duration::from_minutes(15.0);
+        let ids: Vec<MeterId> = (0..6)
+            .map(|i| {
+                let c = contract(if i < 4 { 0.07 } else { 0.09 });
+                fleet.register(&c, SimTime::EPOCH, step).unwrap()
+            })
+            .collect();
+        let lane: Arc<[MeterId]> = ids.clone().into();
+        let frame = TickFrame::new(Arc::clone(&lane), vec![Power::from_megawatts(2.0); 6]).unwrap();
+        fleet.advance_frame(&frame).unwrap();
+        assert_eq!(fleet.stats().cohorts, 2);
+        // Corrupt the cached plan so the first cohort's gather reads past
+        // the power lane.
+        let plan = fleet.plan.as_mut().unwrap();
+        plan.positions[0] = u32::MAX;
+        let report = fleet.advance_frame(&frame).unwrap();
+        assert_eq!(report.applied, 2);
+        assert_eq!(report.dropped, 4);
+        let condemned: Vec<MeterId> = report.newly_quarantined.iter().map(|(id, _)| *id).collect();
+        assert_eq!(condemned, ids[..4]);
+        assert!(ids[4..].iter().all(|id| fleet.finalize(*id).is_ok()));
+        assert!(matches!(
+            fleet.finalize(ids[0]),
+            Err(CoreError::Quarantined(_))
+        ));
     }
 }

@@ -576,8 +576,7 @@ impl ContractLedger {
             // sub-slice of the load, billed in one fused run.
             let i0 = ((from.as_secs() - start.as_secs()) / step) as usize;
             let i1 = ((to.as_secs() - start.as_secs()) / step) as usize;
-            let bill = CompiledContract::bill_run(
-                kernel,
+            let bill = kernel.bill_run(
                 from,
                 load.step(),
                 &load.values()[i0..i1],

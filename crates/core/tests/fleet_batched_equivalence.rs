@@ -604,3 +604,290 @@ fn malformed_frames_and_horizon_overruns_error_like_per_sample() {
     assert_eq!(fused.samples(), 3);
     assert_eq!(fused.finalize().unwrap(), seq.finalize().unwrap());
 }
+
+/// One step of an out-of-step fleet drive.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Advance by frames carrying a seeded subset of the meters in a
+    /// seeded order: one `advance_frame` (width 1), an `advance_window`
+    /// of that many frames sharing one id lane, or AoS `advance_tick`s.
+    Frames { seed: u64, width: usize, aos: bool },
+    /// Snapshot one meter for a later restore.
+    Snapshot { meter: usize },
+    /// Restore one meter from its most recent snapshot.
+    Restore { meter: usize },
+    /// Checkpoint the whole fleet.
+    Checkpoint,
+    /// Restore the whole fleet from its most recent checkpoint.
+    RestoreCheckpoint,
+    /// Move one meter to a revised contract.
+    Delta { meter: usize },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (0u8..11, 0u64..u64::MAX, 1usize..5, 0usize..8).prop_map(
+        |(kind, seed, width, meter)| match kind {
+            0..=5 => Step::Frames {
+                seed,
+                width,
+                aos: seed.is_multiple_of(5),
+            },
+            6 => Step::Snapshot { meter },
+            7 => Step::Restore { meter },
+            8 => Step::Checkpoint,
+            9 => Step::RestoreCheckpoint,
+            _ => Step::Delta { meter },
+        },
+    )
+}
+
+/// A small deterministic generator for frame subsets and orders.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407);
+    *state >> 33
+}
+
+/// A seeded subset of `0..n` (each meter kept with probability 3/4) in a
+/// seeded order.
+fn subset(seed: u64, n: usize) -> Vec<usize> {
+    let mut state = seed;
+    let mut picked: Vec<usize> = (0..n)
+        .filter(|_| !lcg(&mut state).is_multiple_of(4))
+        .collect();
+    for i in (1..picked.len()).rev() {
+        let j = (lcg(&mut state) % (i as u64 + 1)) as usize;
+        picked.swap(i, j);
+    }
+    picked
+}
+
+/// The solo model of one fleet meter: a `BillAccrual` fed exactly the
+/// samples the fleet applied to that meter, in the same order.
+struct Solo {
+    acc: BillAccrual,
+    /// Samples fed so far — the power of the next one depends on it.
+    fed: u64,
+}
+
+/// Drive a fleet and its solo models through `steps`, comparing every
+/// meter's bill and snapshot bytes with its model at the end.
+fn drive_out_of_step(
+    fleet: &mut MeterFleet,
+    ids: &[MeterId],
+    solos: &mut [Solo],
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let n = ids.len();
+    let mut snaps: Vec<Option<(hpcgrid_core::accrual::AccrualSnapshot, u64)>> = vec![None; n];
+    let mut ckpt: Option<(hpcgrid_core::checkpoint::FleetCheckpoint, Vec<u64>)> = None;
+    let power = |m: usize, k: u64| mw(m, k * 3 + m as u64);
+    for step in steps {
+        match step {
+            Step::Frames { seed, width, aos } => {
+                let picked = subset(*seed, n);
+                let lane: Arc<[MeterId]> = picked.iter().map(|&m| ids[m]).collect();
+                let frames: Vec<TickFrame> = (0..*width as u64)
+                    .map(|j| {
+                        let powers = picked.iter().map(|&m| power(m, solos[m].fed + j)).collect();
+                        TickFrame::new(Arc::clone(&lane), powers).unwrap()
+                    })
+                    .collect();
+                let report = if *aos {
+                    let mut total = 0;
+                    for f in &frames {
+                        let samples: Vec<Sample> = f
+                            .meters()
+                            .iter()
+                            .zip(f.powers())
+                            .map(|(&meter, &power)| Sample { meter, power })
+                            .collect();
+                        total += fleet.advance_tick(&samples).unwrap().applied;
+                    }
+                    total
+                } else {
+                    fleet.advance_window(&frames).unwrap().applied
+                };
+                prop_assert_eq!(report, picked.len() * width);
+                for &m in &picked {
+                    for j in 0..*width as u64 {
+                        let p = power(m, solos[m].fed + j);
+                        solos[m].acc.push_next(p).unwrap();
+                    }
+                    solos[m].fed += *width as u64;
+                }
+            }
+            Step::Snapshot { meter } => {
+                let m = meter % n;
+                let snap = fleet.snapshot(ids[m]).unwrap();
+                prop_assert_eq!(
+                    serde_json::to_string(&snap).unwrap(),
+                    serde_json::to_string(&solos[m].acc.snapshot()).unwrap()
+                );
+                snaps[m] = Some((snap, solos[m].fed));
+            }
+            Step::Restore { meter } => {
+                let m = meter % n;
+                if let Some((snap, fed)) = &snaps[m] {
+                    fleet.restore(ids[m], snap).unwrap();
+                    let kernel = Arc::clone(solos[m].acc.kernel());
+                    solos[m].acc = BillAccrual::restore(kernel, snap).unwrap();
+                    solos[m].fed = *fed;
+                }
+            }
+            Step::Checkpoint => {
+                let c = hpcgrid_core::checkpoint::FleetCheckpoint {
+                    generation: 0,
+                    ticks: fleet.stats().ticks,
+                    meters: fleet.snapshot_all(),
+                };
+                ckpt = Some((c, solos.iter().map(|s| s.fed).collect()));
+            }
+            Step::RestoreCheckpoint => {
+                if let Some((c, fed)) = &ckpt {
+                    prop_assert_eq!(fleet.restore_checkpoint(c).unwrap(), n);
+                    for (id, snap) in &c.meters {
+                        let m = *id as usize;
+                        let kernel = Arc::clone(solos[m].acc.kernel());
+                        solos[m].acc = BillAccrual::restore(kernel, snap).unwrap();
+                        solos[m].fed = fed[m];
+                    }
+                }
+            }
+            Step::Delta { meter } => {
+                let m = meter % n;
+                let fee = Money::from_dollars(100.0 + m as f64);
+                let delta = ContractDelta::SetMonthlyFee(fee);
+                fleet.apply_delta(ids[m], &delta).unwrap();
+                let patched = Arc::new(solos[m].acc.kernel().patch(&delta).unwrap());
+                solos[m].acc.rebind(patched).unwrap();
+                // Snapshots and checkpoints taken before the move name the
+                // old kernel; drop them, as a driver would.
+                snaps[m] = None;
+                ckpt = None;
+            }
+        }
+    }
+    for (m, id) in ids.iter().enumerate() {
+        if solos[m].fed == 0 {
+            continue;
+        }
+        prop_assert_eq!(
+            fleet.finalize(*id).unwrap(),
+            solos[m].acc.finalize().unwrap(),
+            "meter {} diverged from its solo stream",
+            m
+        );
+        prop_assert_eq!(
+            serde_json::to_string(&fleet.snapshot(*id).unwrap()).unwrap(),
+            serde_json::to_string(&solos[m].acc.snapshot()).unwrap(),
+            "meter {} snapshot bytes diverged",
+            m
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Meters out of step with their shard-mates — absent from frames,
+    /// fed in shuffled orders, registered at different starts and steps
+    /// under one contract, restored alone or with the whole fleet to an
+    /// earlier point, moved by a delta — each bill and snapshot exactly
+    /// like a solo accrual fed the same subsequence of samples.
+    #[test]
+    fn out_of_step_meters_bill_like_solo_streams(
+        geometry in prop::collection::vec(
+            (0usize..3, prop::sample::select(vec![900u64, 3_600])),
+            2..8,
+        ),
+        shards in prop::sample::select(vec![1usize, 2, 5]),
+        steps in prop::collection::vec(step_strategy(), 1..24),
+    ) {
+        let kernels = [
+            compile(&rich_contract(), Precision::BitExact),
+            compile(&flat_contract(), Precision::BitExact),
+        ];
+        let mut fleet = MeterFleet::with_shards(
+            Calendar::default(),
+            SimTime::EPOCH,
+            SimTime::from_days(HORIZON_DAYS),
+            shards,
+        );
+        let starts = [
+            SimTime::EPOCH,
+            SimTime::from_secs(7_200),
+            // Half a day before the first billing-month boundary.
+            SimTime::from_days(31) - Duration::from_hours(12.0),
+        ];
+        let mut ids = Vec::new();
+        let mut solos = Vec::new();
+        for (i, &(s, step)) in geometry.iter().enumerate() {
+            let kernel = &kernels[i % kernels.len()];
+            let (start, step) = (starts[s], Duration::from_secs(step));
+            ids.push(fleet.register_compiled(Arc::clone(kernel), start, step).unwrap());
+            solos.push(Solo {
+                acc: BillAccrual::new(Arc::clone(kernel), start, step).unwrap(),
+                fed: 0,
+            });
+        }
+        drive_out_of_step(&mut fleet, &ids, &mut solos, &steps)?;
+    }
+
+    /// A whole-fleet `restore_checkpoint` back to a tick where every meter
+    /// was in step, followed by one full frame, bills like the solo
+    /// streams — however far out of step the meters drifted in between —
+    /// and leaves one cohort per shard.
+    #[test]
+    fn whole_fleet_restore_rejoins_meters(
+        meters in 2usize..9,
+        shards in prop::sample::select(vec![1usize, 2, 5]),
+        warmup in 1usize..6,
+        drift in prop::collection::vec(step_strategy(), 0..12),
+    ) {
+        let (mut fleet, ids) = fleet_of(meters, shards);
+        let shapes = [rich_contract(), flat_contract()];
+        let mut solos: Vec<Solo> = (0..meters)
+            .map(|i| Solo {
+                acc: BillAccrual::new(
+                    compile(&shapes[i % shapes.len()], Precision::BitExact),
+                    SimTime::EPOCH,
+                    Duration::from_minutes(15.0),
+                )
+                .unwrap(),
+                fed: 0,
+            })
+            .collect();
+        // In step up to the checkpoint: full frames only.
+        let full: Arc<[MeterId]> = ids.clone().into();
+        for _ in 0..warmup {
+            let powers = (0..meters).map(|m| mw(m, solos[m].fed * 3 + m as u64)).collect();
+            fleet.advance_frame(&TickFrame::new(Arc::clone(&full), powers).unwrap()).unwrap();
+            for (m, solo) in solos.iter_mut().enumerate() {
+                solo.acc.push_next(mw(m, solo.fed * 3 + m as u64)).unwrap();
+                solo.fed += 1;
+            }
+        }
+        let drift: Vec<Step> = drift
+            .into_iter()
+            .filter(|s| !matches!(s, Step::Delta { .. } | Step::Checkpoint | Step::RestoreCheckpoint))
+            .collect();
+        let mut plan = vec![Step::Checkpoint];
+        plan.extend(drift);
+        plan.push(Step::RestoreCheckpoint);
+        drive_out_of_step(&mut fleet, &ids, &mut solos, &plan)?;
+        // One full frame after the restore.
+        let powers = (0..meters).map(|m| mw(m, solos[m].fed * 3 + m as u64)).collect();
+        fleet.advance_frame(&TickFrame::new(Arc::clone(&full), powers).unwrap()).unwrap();
+        for (m, solo) in solos.iter_mut().enumerate() {
+            solo.acc.push_next(mw(m, solo.fed * 3 + m as u64)).unwrap();
+            solo.fed += 1;
+        }
+        // Every meter is back in step, so each shard folds one cohort.
+        let stats = fleet.stats();
+        prop_assert_eq!(stats.cohorts, stats.shards);
+        drive_out_of_step(&mut fleet, &ids, &mut solos, &[])?;
+    }
+}
