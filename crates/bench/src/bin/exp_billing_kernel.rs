@@ -19,6 +19,7 @@
 //! reported unguarded.
 
 use hpcgrid_bench::table::TextTable;
+use hpcgrid_bench::timing::{paired, time_ns, REPEATS};
 use hpcgrid_core::billing::{BillingEngine, Precision};
 use hpcgrid_core::contract::{Contract, ContractDelta};
 use hpcgrid_core::demand_charge::DemandCharge;
@@ -28,7 +29,6 @@ use hpcgrid_units::{
     Calendar, DemandPrice, Duration, EnergyPrice, MonthSet, Power, SimTime, TimeOfDay,
 };
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One month of 15-minute samples with a diurnal swing — the workload the
 /// acceptance criterion is written against.
@@ -126,49 +126,6 @@ fn rich_contract(strip: &PriceSeries) -> Contract {
         .monthly_fee(hpcgrid_units::Money::from_dollars(750.0))
         .build()
         .unwrap()
-}
-
-/// Paired measurements behind each gated ratio.
-const REPEATS: usize = 5;
-
-/// Best-of-`trials` wall time for `iters` runs of `f`, in nanoseconds per
-/// single run. Best-of keeps scheduler noise out of a committed baseline.
-fn time_ns<F: FnMut()>(trials: usize, iters: usize, mut f: F) -> f64 {
-    // Warm-up: populate caches and fault in pages before the timed trials.
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    }
-}
-
-/// [`REPEATS`] paired timings of a slow and a fast path. Returns the median
-/// of each side's timings and the median of the per-pair `slow / fast`
-/// ratios — the figure the floors gate.
-fn paired(mut slow: impl FnMut() -> f64, mut fast: impl FnMut() -> f64) -> (f64, f64, f64) {
-    let (mut slows, mut fasts, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..REPEATS {
-        let (s, f) = (slow(), fast());
-        slows.push(s);
-        fasts.push(f);
-        ratios.push(s / f);
-    }
-    (median(slows), median(fasts), median(ratios))
 }
 
 fn main() {

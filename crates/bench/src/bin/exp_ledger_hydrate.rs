@@ -16,6 +16,7 @@
 //! release-build speedup floor.
 
 use hpcgrid_bench::table::TextTable;
+use hpcgrid_bench::timing::time_ns;
 use hpcgrid_core::compiled::CompiledContract;
 use hpcgrid_core::contract::{Contract, ContractDelta};
 use hpcgrid_core::demand_charge::DemandCharge;
@@ -26,7 +27,6 @@ use hpcgrid_units::{
     Calendar, DemandPrice, Duration, EnergyPrice, Money, MonthSet, Power, SimTime, TimeOfDay,
 };
 use std::hint::black_box;
-use std::time::Instant;
 
 /// A year horizon: the scale at which recompiling per amendment hurts.
 const HORIZON_DAYS: u64 = 365;
@@ -92,22 +92,6 @@ fn day_load() -> PowerSeries {
         },
     )
     .unwrap()
-}
-
-/// Best-of-`trials` wall time for `iters` runs of `f`, in nanoseconds per
-/// single run. Best-of keeps scheduler noise out of a committed baseline.
-fn time_ns<F: FnMut()>(trials: usize, iters: usize, mut f: F) -> f64 {
-    // Warm-up: populate caches and fault in pages before the timed trials.
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
 }
 
 /// A fresh ledger holding one stream of the rich contract.

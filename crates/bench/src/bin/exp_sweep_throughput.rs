@@ -8,7 +8,7 @@
 //! `BENCH_sweep.json` so the baseline is committed next to the code it
 //! describes.
 //!
-//! Four quantities the PRs behind this bench claim:
+//! Five quantities the PRs behind this bench claim:
 //!
 //! * **cold vs warm scenarios/sec** — cold executes every scenario and
 //!   writes its artifact; warm is a fresh process-equivalent (new runner,
@@ -21,26 +21,37 @@
 //!   both encodings;
 //! * **journal overhead** — the warm artifact-served fold with every
 //!   completion journaled (`run_fold_journaled`) against the plain warm
-//!   fold, best of three each; crash safety must cost at most a few
-//!   percent. A resume smoke rides along: `SweepRunner::resume` over the
-//!   finished journal must execute nothing and reproduce the aggregate
-//!   bit-identically.
+//!   fold; crash safety must cost at most a few percent. A resume smoke
+//!   rides along: `SweepRunner::resume` over the finished journal must
+//!   execute nothing and reproduce the aggregate bit-identically;
+//! * **spec hashing, field walk vs value tree** — ns per spec for
+//!   `ScenarioSpec::content_hash`, which feeds the spec's fields straight to
+//!   the hasher, against `content_hash(&spec.to_value())`, which builds and
+//!   walks the serde value tree; every spec's two digests must be equal.
 //!
 //! Correctness gates run before any timing: the warm artifact-served sweep
 //! must reproduce the cold aggregate bit-identically (order-insensitive
 //! checksum), under both artifact formats. Floors are asserted in release
-//! builds only.
+//! builds only. The probe-speedup, journal-overhead and spec-hash gates each
+//! check the median of [`REPEATS`] paired ratios, each ratio between two
+//! best-of-three timings, so one noisy pass or pair cannot trip them; the
+//! warm-throughput floor is a single pass.
 //!
 //! `HPCGRID_SWEEP_SCENARIOS` overrides the sweep size (CI smoke runs at
 //! 5 000); `HPCGRID_BENCH_OUT` overrides the output path.
 
 use hpcgrid_bench::scenarios::*;
 use hpcgrid_bench::table::TextTable;
+use hpcgrid_bench::timing::{best_of, paired, time_ns, REPEATS};
 use hpcgrid_engine::{
-    ArtifactFormat, ResultCache, ScenarioCtx, ScenarioSpec, SharedInputs, SweepRunner,
+    content_hash, ArtifactFormat, ContentHash, ResultCache, ScenarioCtx, ScenarioSpec,
+    SharedInputs, SweepRunner,
 };
 use hpcgrid_timeseries::series::{PowerSeries, PriceSeries};
 use hpcgrid_units::Power;
+use serde::Serialize;
+use std::cell::RefCell;
+use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,6 +70,9 @@ const FLOOR_WARM_SCENARIOS_PER_SEC: f64 = 20_000.0;
 /// Release ceiling: journaling a warm sweep may slow it by at most this
 /// percentage over the plain warm fold.
 const CEILING_JOURNAL_OVERHEAD_PCT: f64 = 10.0;
+/// Release floor: hashing a spec from its fields must beat hashing its
+/// serde value tree by this.
+const FLOOR_SPEC_HASH_SPEEDUP: f64 = 2.0;
 
 /// The streaming aggregate: dollar total for display, an order-insensitive
 /// checksum (xor of result bits) for bit-identity gates, and a count.
@@ -240,49 +254,57 @@ fn main() {
     );
     drop(warm_runner);
 
-    // Journal overhead: the identical warm artifact-served fold, once plain
-    // and once with every completion journaled, best of three each so one
-    // slow filesystem flush does not decide the ratio.
+    // Journal overhead: the identical warm artifact-served fold with every
+    // completion journaled and plain, each side the best of three passes
+    // through fresh runners, in REPEATS pairs; the median ratio decides, so
+    // neither one slow filesystem flush nor one slow pair does.
     let journal_path = base.join("sweep.journal");
-    let mut plain_best = f64::INFINITY;
-    let mut journaled_best = f64::INFINITY;
     let mut journaled_agg = Agg::default();
-    for _ in 0..3 {
-        let mut plain = SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-            .expect("artifact dir reopens for plain timing")
-            .shared_inputs(shared.clone());
-        let (plain_outcome, plain_s) = run_pass(&mut plain, &specs);
-        assert_eq!(
-            plain_outcome.report.executed, 0,
-            "plain warm pass is served"
-        );
-        plain_best = plain_best.min(plain_s);
-
-        let _ = std::fs::remove_file(&journal_path);
-        let mut journaled =
-            SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-                .expect("artifact dir reopens for journaled timing")
-                .shared_inputs(shared.clone());
-        let t = Instant::now();
-        let outcome = journaled
-            .run_fold_journaled(&journal_path, &specs, &scenario, Agg::default(), fold)
-            .expect("journaled warm sweep");
-        journaled_best = journaled_best.min(t.elapsed().as_secs_f64());
-        assert_eq!(
-            outcome.report.executed, 0,
-            "journaled warm pass is artifact-served"
-        );
-        assert!(
-            !outcome.report.interrupted,
-            "journaled pass runs to the end"
-        );
-        journaled_agg = outcome.value;
-    }
+    let (journaled_s, plain_s, journal_ratio) = paired(
+        || {
+            best_of(3, || {
+                let _ = std::fs::remove_file(&journal_path);
+                let mut journaled =
+                    SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
+                        .expect("artifact dir reopens for journaled timing")
+                        .shared_inputs(shared.clone());
+                let t = Instant::now();
+                let outcome = journaled
+                    .run_fold_journaled(&journal_path, &specs, &scenario, Agg::default(), fold)
+                    .expect("journaled warm sweep");
+                let secs = t.elapsed().as_secs_f64();
+                assert_eq!(
+                    outcome.report.executed, 0,
+                    "journaled warm pass is artifact-served"
+                );
+                assert!(
+                    !outcome.report.interrupted,
+                    "journaled pass runs to the end"
+                );
+                journaled_agg = outcome.value;
+                secs
+            })
+        },
+        || {
+            best_of(3, || {
+                let mut plain =
+                    SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
+                        .expect("artifact dir reopens for plain timing")
+                        .shared_inputs(shared.clone());
+                let (plain_outcome, secs) = run_pass(&mut plain, &specs);
+                assert_eq!(
+                    plain_outcome.report.executed, 0,
+                    "plain warm pass is served"
+                );
+                secs
+            })
+        },
+    );
     assert_eq!(
         cold_agg.checksum, journaled_agg.checksum,
         "journaled aggregate must be bit-identical to the cold one"
     );
-    let journal_overhead_pct = (journaled_best / plain_best - 1.0) * 100.0;
+    let journal_overhead_pct = (journal_ratio - 1.0) * 100.0;
 
     // Resume smoke: a memory-only runner resuming the finished journal must
     // replay everything and execute nothing — crash recovery costs zero
@@ -310,33 +332,63 @@ fn main() {
     // memory tier empty) answers presence probes from the index; the
     // pre-index `probe_disk_stat` path stats candidate files. Same keys for
     // both.
-    let mut probe_cache: ResultCache<f64> =
+    let probe_cache: RefCell<ResultCache<f64>> = RefCell::new(
         ResultCache::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-            .expect("artifact dir reopens for probing");
+            .expect("artifact dir reopens for probing"),
+    );
     let keys: Vec<_> = specs.iter().map(|s| s.content_hash()).collect();
-    let t_idx = Instant::now();
-    let mut index_found = 0_usize;
-    for key in &keys {
-        if probe_cache.contains(*key) {
-            index_found += 1;
-        }
-    }
-    let index_ns = t_idx.elapsed().as_nanos() as f64 / keys.len() as f64;
-    assert_eq!(index_found, n, "index must know every written artifact");
     let stat_sample = keys.len().min(20_000);
-    let t_stat = Instant::now();
-    let mut stat_found = 0_usize;
-    for key in keys.iter().take(stat_sample) {
-        if probe_cache.probe_disk_stat(*key) {
-            stat_found += 1;
-        }
-    }
-    let stat_ns = t_stat.elapsed().as_nanos() as f64 / stat_sample as f64;
-    assert_eq!(
-        stat_found, stat_sample,
+    assert!(
+        keys.iter().all(|k| probe_cache.borrow_mut().contains(*k)),
+        "index must know every written artifact"
+    );
+    assert!(
+        keys[..stat_sample]
+            .iter()
+            .all(|k| probe_cache.borrow().probe_disk_stat(*k)),
         "stat probe must find every artifact"
     );
-    let probe_speedup = stat_ns / index_ns.max(1e-9);
+    let (stat_ns, index_ns, probe_speedup) = paired(
+        || {
+            let cache = probe_cache.borrow();
+            time_ns(3, 1, || {
+                for key in &keys[..stat_sample] {
+                    black_box(cache.probe_disk_stat(*key));
+                }
+            }) / stat_sample as f64
+        },
+        || {
+            let mut cache = probe_cache.borrow_mut();
+            time_ns(3, 1, || {
+                for key in &keys {
+                    black_box(cache.contains(*key));
+                }
+            }) / keys.len() as f64
+        },
+    );
+
+    // Spec hashing: the field walk every sweep entry point runs against the
+    // value-tree oracle, over the sweep's own specs. The digests must agree
+    // for every spec before either is timed.
+    let tree_hash = |s: &ScenarioSpec| content_hash(&s.to_value());
+    for spec in &specs {
+        assert_eq!(
+            spec.content_hash(),
+            tree_hash(spec),
+            "field walk and value tree disagree on {spec}"
+        );
+    }
+    let hash_ns = |hash: &dyn Fn(&ScenarioSpec) -> ContentHash| {
+        time_ns(3, 1, || {
+            for spec in &specs {
+                black_box(hash(black_box(spec)));
+            }
+        }) / n as f64
+    };
+    let (tree_ns, walk_ns, spec_hash_speedup) = paired(
+        || hash_ns(&tree_hash),
+        || hash_ns(&ScenarioSpec::content_hash),
+    );
 
     // Artifact weight: rerun the sweep under JSON into a sibling dir and
     // compare on-disk bytes.
@@ -372,8 +424,8 @@ fn main() {
     ]);
     t.row(vec![
         "warm binary + journal".into(),
-        format!("{journaled_best:.2}"),
-        format!("{:.0}", n as f64 / journaled_best),
+        format!("{journaled_s:.2}"),
+        format!("{:.0}", n as f64 / journaled_s),
         "0".into(),
     ]);
     t.row(vec![
@@ -384,13 +436,17 @@ fn main() {
     ]);
     println!("{}", t.render());
     println!(
-        "journal: {journal_overhead_pct:+.1}% over plain warm ({plain_best:.2} s -> \
-         {journaled_best:.2} s best-of-3), {journal_bytes} bytes for {n} completions; \
-         resume replayed {n} in {resume_s:.2} s with 0 executions"
+        "journal: {journal_overhead_pct:+.1}% over plain warm ({plain_s:.3} s -> \
+         {journaled_s:.3} s, medians of {REPEATS} best-of-3 pairs), {journal_bytes} bytes for {n} \
+         completions; resume replayed {n} in {resume_s:.2} s with 0 executions"
     );
     println!(
         "index: built in {index_build_s:.2} s at open; probes {index_ns:.0} ns indexed vs \
-         {stat_ns:.0} ns stat ({probe_speedup:.1}x)"
+         {stat_ns:.0} ns stat ({probe_speedup:.1}x, median of {REPEATS} ratios)"
+    );
+    println!(
+        "spec hash: {walk_ns:.0} ns/spec from fields vs {tree_ns:.0} ns/spec through the \
+         value tree ({spec_hash_speedup:.1}x, median of {REPEATS} ratios), {n} digests equal"
     );
     println!(
         "artifacts: {bin_bytes} bytes binary vs {json_bytes} bytes json ({bytes_ratio:.2}x); \
@@ -426,9 +482,14 @@ fn main() {
         "json": json_bytes,
         "ratio": bytes_ratio,
     });
+    let spec_hash_json = serde_json::json!({
+        "field_walk_ns_per_spec": walk_ns,
+        "value_tree_ns_per_spec": tree_ns,
+        "speedup": spec_hash_speedup,
+    });
     let journal_json = serde_json::json!({
-        "plain_warm_seconds": plain_best,
-        "journaled_warm_seconds": journaled_best,
+        "plain_warm_seconds": plain_s,
+        "journaled_warm_seconds": journaled_s,
         "overhead_pct": journal_overhead_pct,
         "journal_bytes": journal_bytes,
         "resume_seconds": resume_s,
@@ -440,6 +501,7 @@ fn main() {
         "bytes_ratio": FLOOR_BYTES_RATIO,
         "warm_scenarios_per_sec": FLOOR_WARM_SCENARIOS_PER_SEC,
         "journal_overhead_pct_max": CEILING_JOURNAL_OVERHEAD_PCT,
+        "spec_hash_speedup": FLOOR_SPEC_HASH_SPEEDUP,
     });
     let env_json = serde_json::json!({
         "HPCGRID_SWEEP_SCENARIOS": std::env::var("HPCGRID_SWEEP_SCENARIOS").ok(),
@@ -451,6 +513,8 @@ fn main() {
         "warm": warm_json,
         "probe": probe_json,
         "journal": journal_json,
+        "spec_hash": spec_hash_json,
+        "ratio_repeats": REPEATS,
         "artifact_bytes": bytes_json,
         "json_cold_seconds": json_cold_s,
         "floors": floors_json,
@@ -484,6 +548,11 @@ fn main() {
             journal_overhead_pct <= CEILING_JOURNAL_OVERHEAD_PCT,
             "journaling cost {journal_overhead_pct:.1}% of the warm fold, ceiling \
              {CEILING_JOURNAL_OVERHEAD_PCT:.0}%"
+        );
+        assert!(
+            spec_hash_speedup >= FLOOR_SPEC_HASH_SPEEDUP,
+            "spec hashing from fields only {spec_hash_speedup:.2}x faster than through \
+             the value tree, floor {FLOOR_SPEC_HASH_SPEEDUP:.1}x"
         );
     }
     println!("X8 OK");

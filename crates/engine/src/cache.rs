@@ -322,7 +322,20 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
     /// the result servable in-process; the error reports the artifact
     /// problem to callers that care.
     pub fn put(&mut self, spec: &ScenarioSpec, result: &R) -> Result<(), EngineError> {
-        let key = spec.content_hash();
+        self.put_keyed(spec.content_hash(), spec, result)
+    }
+
+    /// [`ResultCache::put`] under `key`, the spec's content hash the caller
+    /// already holds: the sweep driver hashes each submitted spec once and
+    /// commits under that key rather than hashing it again under the cache
+    /// lock.
+    pub(crate) fn put_keyed(
+        &mut self,
+        key: ContentHash,
+        spec: &ScenarioSpec,
+        result: &R,
+    ) -> Result<(), EngineError> {
+        debug_assert_eq!(key, spec.content_hash(), "put under a foreign key");
         self.mem.insert(key, result.clone());
         let Some(dir) = self.dir.clone() else {
             return Ok(());

@@ -1,11 +1,18 @@
 //! Stable content hashing of serialized values.
 //!
 //! The cache key for a scenario is a 128-bit FNV-1a hash over the spec's
-//! *canonical* serialized form: object keys sorted recursively, floats
-//! rendered with Rust's shortest-round-trip formatting. The hash is defined
-//! by this crate (not by `std::hash`, whose output is explicitly not stable
-//! across releases), so cache artifacts written by one build remain
-//! addressable by the next.
+//! *canonical* serialized form: object keys sorted recursively, each value
+//! fed as a type tag plus its payload bytes. The hash is defined by this
+//! crate (not by `std::hash`, whose output is explicitly not stable across
+//! releases), so cache artifacts written by one build remain addressable by
+//! the next.
+//!
+//! The byte format is defined once, by the canonical-form primitives on
+//! [`Fnv128`] (`map_header`, `key`, `str`, `int`, `uint`, `float`, `flag`,
+//! ...). [`content_hash`] drives them from a serde [`Value`] tree;
+//! `ScenarioSpec::content_hash` drives them straight from the spec's
+//! fields, in sorted key order, and builds no tree. Both produce the same
+//! digest for the same spec.
 
 use serde::Value;
 use std::fmt;
@@ -64,6 +71,82 @@ impl Fnv128 {
     pub fn finish(&self) -> ContentHash {
         ContentHash(self.0)
     }
+
+    /// A length prefix, as 8 little-endian bytes.
+    fn length_prefix(&mut self, len: usize) {
+        self.update(&(len as u64).to_le_bytes());
+    }
+
+    /// Canonical form of `null`.
+    pub(crate) fn null(&mut self) {
+        self.update(b"n");
+    }
+
+    /// Canonical form of a boolean.
+    pub(crate) fn flag(&mut self, b: bool) {
+        self.update(if b { b"T" } else { b"F" });
+    }
+
+    /// Canonical form of a signed integer.
+    pub(crate) fn int(&mut self, i: i64) {
+        self.update(b"i");
+        self.update(&i.to_le_bytes());
+    }
+
+    /// Canonical form of an unsigned integer: one that fits `i64` hashes as
+    /// that signed integer, so a `u64` field hashes the same whichever
+    /// integer variant its serde form took.
+    pub(crate) fn uint(&mut self, u: u64) {
+        match i64::try_from(u) {
+            Ok(i) => self.int(i),
+            Err(_) => {
+                self.update(b"u");
+                self.update(&u.to_le_bytes());
+            }
+        }
+    }
+
+    /// Canonical form of a float. Integral floats hash like their integer
+    /// value so that a parameter that round-trips through JSON as `2` or
+    /// `2.0` stays one scenario (so `-0.0` hashes as `0`); NaN, ±∞ and
+    /// integral floats outside `i64` hash their bits.
+    pub(crate) fn float(&mut self, f: f64) {
+        if f.fract() == 0.0 && f.abs() < i64::MAX as f64 {
+            self.int(f as i64);
+        } else {
+            self.update(b"f");
+            self.update(&f.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Canonical form of a string: length-prefixed, so concatenations
+    /// cannot collide.
+    pub(crate) fn str(&mut self, s: &str) {
+        self.update(b"s");
+        self.length_prefix(s.len());
+        self.update(s.as_bytes());
+    }
+
+    /// Header of a sequence of `len` elements; the elements follow in
+    /// order.
+    pub(crate) fn seq_header(&mut self, len: usize) {
+        self.update(b"[");
+        self.length_prefix(len);
+    }
+
+    /// Header of a map of `len` entries; each entry follows as a
+    /// [`Fnv128::key`] then its value, in ascending byte order of keys.
+    pub(crate) fn map_header(&mut self, len: usize) {
+        self.update(b"{");
+        self.length_prefix(len);
+    }
+
+    /// A map entry's key.
+    pub(crate) fn key(&mut self, k: &str) {
+        self.update(b"k");
+        self.length_prefix(k.len());
+        self.update(k.as_bytes());
+    }
 }
 
 /// Sort object keys recursively, producing the canonical form of a value.
@@ -99,38 +182,14 @@ pub fn content_hash(value: &Value) -> ContentHash {
 
 fn hash_value(h: &mut Fnv128, v: &Value) {
     match v {
-        Value::Null => h.update(b"n"),
-        Value::Bool(b) => h.update(if *b { b"T" } else { b"F" }),
-        // Integral floats hash like their integer value so that a parameter
-        // that round-trips through JSON as `2` or `2.0` stays one scenario.
-        Value::Int(i) => {
-            h.update(b"i");
-            h.update(&i.to_le_bytes());
-        }
-        Value::UInt(u) if *u <= i64::MAX as u64 => {
-            h.update(b"i");
-            h.update(&(*u as i64).to_le_bytes());
-        }
-        Value::UInt(u) => {
-            h.update(b"u");
-            h.update(&u.to_le_bytes());
-        }
-        Value::Float(f) if f.fract() == 0.0 && f.abs() < i64::MAX as f64 => {
-            h.update(b"i");
-            h.update(&(*f as i64).to_le_bytes());
-        }
-        Value::Float(f) => {
-            h.update(b"f");
-            h.update(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            h.update(b"s");
-            h.update(&(s.len() as u64).to_le_bytes());
-            h.update(s.as_bytes());
-        }
+        Value::Null => h.null(),
+        Value::Bool(b) => h.flag(*b),
+        Value::Int(i) => h.int(*i),
+        Value::UInt(u) => h.uint(*u),
+        Value::Float(f) => h.float(*f),
+        Value::Str(s) => h.str(s),
         Value::Seq(items) => {
-            h.update(b"[");
-            h.update(&(items.len() as u64).to_le_bytes());
+            h.seq_header(items.len());
             for item in items {
                 hash_value(h, item);
             }
@@ -138,12 +197,9 @@ fn hash_value(h: &mut Fnv128, v: &Value) {
         Value::Map(entries) => {
             let mut sorted: Vec<&(String, Value)> = entries.iter().collect();
             sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            h.update(b"{");
-            h.update(&(sorted.len() as u64).to_le_bytes());
+            h.map_header(sorted.len());
             for (k, val) in sorted {
-                h.update(b"k");
-                h.update(&(k.len() as u64).to_le_bytes());
-                h.update(k.as_bytes());
+                h.key(k);
                 hash_value(h, val);
             }
         }

@@ -63,10 +63,8 @@ pub fn sweep_fingerprint(specs: &[ScenarioSpec]) -> ContentHash {
 }
 
 /// [`sweep_fingerprint`] over already-computed spec hashes. The runner uses
-/// this to share one hash pass between the fingerprint and its own
-/// bookkeeping — `ScenarioSpec::content_hash` re-serializes the spec on
-/// every call, which at population scale is the single largest per-spec
-/// cost.
+/// this to share its one hash pass over the submitted specs between the
+/// fingerprint and its own bookkeeping.
 pub fn sweep_fingerprint_of(hashes: &[ContentHash]) -> ContentHash {
     let mut sum = 0u128;
     for h in hashes {

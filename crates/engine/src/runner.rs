@@ -444,9 +444,8 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
         Fold: Fn(A, R) -> A + Sync,
     {
-        // Hash every spec exactly once: the fingerprint and the driver's
-        // bookkeeping share this pass (re-serializing specs dominates
-        // per-spec cost at population scale).
+        // Hash every spec exactly once: the fingerprint, the driver's
+        // probes, its cache puts and each scenario's seed share this pass.
         let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
         let journal = RunJournal::create(
             journal_path.as_ref(),
@@ -699,7 +698,7 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
                         let key = hashes[index];
                         let ctx = ScenarioCtx {
                             spec,
-                            seed: spec.derived_seed(),
+                            seed: spec.derived_seed_from(key),
                             shared,
                         };
                         let started = Instant::now();
@@ -713,7 +712,10 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
                             // A failed cache commit (disk full, permissions)
                             // does not fail the scenario.
                             Ok(value) => {
-                                _ = cache.lock().expect("cache mutex poisoned").put(spec, value)
+                                _ = cache
+                                    .lock()
+                                    .expect("cache mutex poisoned")
+                                    .put_keyed(key, spec, value)
                             }
                             Err(e) => {
                                 tally.failed += 1;
@@ -1213,8 +1215,11 @@ mod tests {
         let first = runner.run(&specs, |ctx| Ok(ctx.seed));
         let mut fresh: SweepRunner<u64> = SweepRunner::new();
         let second = fresh.run(&specs, |ctx| Ok(ctx.seed));
-        for (a, b) in first.results.iter().zip(second.results.iter()) {
+        for ((a, b), spec) in first.results.iter().zip(&second.results).zip(&specs) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
+            // The driver derives the seed from the key it already holds;
+            // it is the spec's public derived seed.
+            assert_eq!(*a.as_ref().unwrap(), spec.derived_seed());
         }
     }
 

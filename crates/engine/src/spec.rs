@@ -8,7 +8,7 @@
 //! makes the result cache content-addressed: re-running an overlapping sweep
 //! only computes the delta.
 
-use crate::hash::{content_hash, ContentHash};
+use crate::hash::{ContentHash, Fnv128};
 use serde::{DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -53,6 +53,30 @@ impl ParamValue {
         match self {
             ParamValue::Text(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// Feed the canonical form of this value's serde rendering, an
+    /// externally tagged one-entry map, to `h`.
+    fn hash_into(&self, h: &mut Fnv128) {
+        h.map_header(1);
+        match self {
+            ParamValue::Float(f) => {
+                h.key("Float");
+                h.float(*f);
+            }
+            ParamValue::Int(i) => {
+                h.key("Int");
+                h.int(*i);
+            }
+            ParamValue::Text(s) => {
+                h.key("Text");
+                h.str(s);
+            }
+            ParamValue::Flag(b) => {
+                h.key("Flag");
+                h.flag(*b);
+            }
         }
     }
 }
@@ -160,15 +184,56 @@ impl ScenarioSpec {
     /// let c = ScenarioSpec::builder("sweep").param("x", 1.5).param("y", 2.0).build();
     /// assert_ne!(a.content_hash(), c.content_hash());
     /// ```
+    ///
+    /// The digest is [`crate::content_hash`] of the spec's serde form,
+    /// computed straight from the fields: each one goes to the hasher in
+    /// the serde form's sorted key order (`params` is already a sorted
+    /// map), so no value tree is built and nothing is sorted.
     pub fn content_hash(&self) -> ContentHash {
-        content_hash(&self.to_value())
+        // Exhaustive: a new field does not compile until the walk hashes it.
+        let ScenarioSpec {
+            experiment,
+            site,
+            trace_seed,
+            horizon_days,
+            contract,
+            policy,
+            params,
+        } = self;
+        let mut h = Fnv128::default();
+        h.map_header(7);
+        h.key("contract");
+        h.str(contract);
+        h.key("experiment");
+        h.str(experiment);
+        h.key("horizon_days");
+        h.uint(*horizon_days);
+        h.key("params");
+        h.map_header(params.len());
+        for (k, v) in params {
+            h.key(k);
+            v.hash_into(&mut h);
+        }
+        h.key("policy");
+        h.str(policy);
+        h.key("site");
+        h.str(site);
+        h.key("trace_seed");
+        h.uint(*trace_seed);
+        h.finish()
     }
 
     /// Deterministic per-scenario RNG seed, derived from the content hash
     /// folded with the trace seed. Identical specs always simulate with the
     /// same randomness, including across retries and processes.
     pub fn derived_seed(&self) -> u64 {
-        self.content_hash().fold_u64() ^ self.trace_seed.rotate_left(17)
+        self.derived_seed_from(self.content_hash())
+    }
+
+    /// [`ScenarioSpec::derived_seed`] from this spec's content hash `key`,
+    /// for a caller that already holds it.
+    pub(crate) fn derived_seed_from(&self, key: ContentHash) -> u64 {
+        key.fold_u64() ^ self.trace_seed.rotate_left(17)
     }
 
     /// Short human label: experiment plus the varied parameters.

@@ -163,6 +163,90 @@ fn param_value_types_survive_round_trip() {
     assert_ne!(f.content_hash(), i.content_hash());
 }
 
+/// Any `ParamValue`: every variant, with the floats the canonical form
+/// treats specially (NaN, ±∞, ±0.0, integral values in and out of `i64`)
+/// and the `i64` extremes.
+fn any_param_value() -> impl Strategy<Value = ParamValue> {
+    let special_floats = vec![
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        2.0,
+        -3.0,
+        2f64.powi(63),
+        -(2f64.powi(63)),
+        1e300,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+    ];
+    prop_oneof![
+        prop::sample::select(special_floats).prop_map(ParamValue::Float),
+        (-1.0e9f64..1.0e9).prop_map(ParamValue::Float),
+        (-1.0e6f64..1.0e6).prop_map(|f| ParamValue::Float(f.round())),
+        (i64::MIN..=i64::MAX).prop_map(ParamValue::Int),
+        prop::sample::select(vec![i64::MIN, i64::MAX, 0, -1]).prop_map(ParamValue::Int),
+        prop::sample::select(vec!["", "bit_exact", "Zürich ⚡ 東京", "a\"b\\c"])
+            .prop_map(|s| ParamValue::Text(s.to_string())),
+        prop::sample::select(vec![true, false]).prop_map(ParamValue::Flag),
+    ]
+}
+
+/// A `u64` field value: small, or at or above `i64::MAX`.
+fn any_u64_field() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..10_000,
+        (i64::MAX as u64 - 2)..=u64::MAX,
+        prop::sample::select(vec![0, i64::MAX as u64 + 1, u64::MAX]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The field walk behind `ScenarioSpec::content_hash` is the
+    /// value-tree hash of the spec's serde form, digest for digest, and the
+    /// derived seed follows from it.
+    #[test]
+    fn field_walk_matches_the_value_tree_oracle(
+        trace_seed in any_u64_field(),
+        horizon_days in any_u64_field(),
+        labels in prop::collection::vec(
+            prop::sample::select(vec!["", "typical", "exp-site", "écart ≤ 5%", "B", "a"]),
+            4..5,
+        ),
+        params in prop::collection::vec(
+            (
+                prop::sample::select(vec![
+                    "", "a", "B", "é", "x", "p0", "p10", "p9", "base_contract", "delta",
+                    "precision", "ledger_revision",
+                ]),
+                any_param_value(),
+            ),
+            0..10,
+        ),
+    ) {
+        use serde::Serialize;
+        let mut b = ScenarioSpec::builder(labels[0])
+            .site(labels[1])
+            .contract(labels[2])
+            .policy(labels[3])
+            .trace_seed(trace_seed)
+            .horizon_days(horizon_days);
+        for (k, v) in params {
+            b = b.param(k, v);
+        }
+        let spec = b.build();
+        let oracle = hpcgrid_engine::content_hash(&spec.to_value());
+        prop_assert_eq!(spec.content_hash(), oracle);
+        prop_assert_eq!(
+            spec.derived_seed(),
+            oracle.fold_u64() ^ spec.trace_seed.rotate_left(17)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
