@@ -7,7 +7,7 @@
 //! one month of 15-minute samples under a TOU contract.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hpcgrid_core::billing::{BillingEngine, Precision};
+use hpcgrid_core::billing::BillingEngine;
 use hpcgrid_core::contract::{Contract, ContractDelta};
 use hpcgrid_core::demand_charge::DemandCharge;
 use hpcgrid_core::powerband::Powerband;
@@ -270,76 +270,5 @@ fn bench_patch(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fast(c: &mut Criterion) {
-    let load = month_load();
-    let cal = Calendar::default();
-    let engine = BillingEngine::new(cal);
-    // Same utility-shaped TOU + demand contract as `exp_billing_kernel`'s
-    // fast-path baseline: the energy item exercises the vectorized segment
-    // replay, the demand item the branchless lane-max peak scan.
-    let contract = Contract::builder("tou+demand")
-        .tariff(Tariff::TimeOfUse(TouTariff {
-            windows: vec![
-                TouWindow {
-                    months: Some(MonthSet::summer()),
-                    days: DayFilter::WeekdaysOnly,
-                    from: TimeOfDay::new(14, 0),
-                    to: TimeOfDay::new(20, 0),
-                    price: EnergyPrice::per_kilowatt_hour(0.24),
-                },
-                TouWindow {
-                    months: None,
-                    days: DayFilter::WeekdaysOnly,
-                    from: TimeOfDay::new(7, 0),
-                    to: TimeOfDay::new(22, 0),
-                    price: EnergyPrice::per_kilowatt_hour(0.11),
-                },
-                TouWindow {
-                    months: None,
-                    days: DayFilter::All,
-                    from: TimeOfDay::new(22, 0),
-                    to: TimeOfDay::new(7, 0),
-                    price: EnergyPrice::per_kilowatt_hour(0.04),
-                },
-            ],
-            base: EnergyPrice::per_kilowatt_hour(0.08),
-        }))
-        .demand_charge(DemandCharge::monthly(DemandPrice::per_kilowatt_month(12.0)))
-        .build()
-        .unwrap();
-    let exact = engine
-        .compile(&contract, load.start(), load.end())
-        .unwrap()
-        .with_precision(Precision::BitExact);
-    let fast = exact.clone().with_precision(Precision::Fast);
-    // Tolerance gate before timing: the fast bill must sit within 1e-12
-    // relative of the bit-exact bill on every line item.
-    let (eb, fb) = (exact.bill(&load).unwrap(), fast.bill(&load).unwrap());
-    for (e, f) in eb.items.iter().zip(&fb.items) {
-        let (a, b) = (e.amount.as_dollars(), f.amount.as_dollars());
-        assert!(
-            (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0),
-            "fast line item {} outside tolerance",
-            e.label
-        );
-    }
-
-    let mut g = c.benchmark_group("billing_fast_vs_exact");
-    g.sample_size(20);
-    g.bench_function("bit_exact", |b| {
-        b.iter(|| black_box(exact.bill(&load).unwrap().total()))
-    });
-    g.bench_function("fast", |b| {
-        b.iter(|| black_box(fast.bill(&load).unwrap().total()))
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_billing,
-    bench_compiled,
-    bench_patch,
-    bench_fast
-);
+criterion_group!(benches, bench_billing, bench_compiled, bench_patch);
 criterion_main!(benches);

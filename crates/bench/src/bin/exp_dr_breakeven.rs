@@ -340,23 +340,5 @@ fn main() {
         "bit-identity: patch at ${}/kW-mo == fresh recompile ✓",
         rates[4]
     );
-    // Fast-mode tolerance check: the patched kernel billed under
-    // `Precision::Fast` (what E4c runs with when `HPCGRID_PRECISION=fast`)
-    // must stay within the documented 1e-12 relative tolerance of the
-    // bit-exact bill — including the demand item, whose lane-max peak scan
-    // is bit-equal, not merely close.
-    let exact_bill = patched.bill(&baseline_load).expect("bit-exact bill");
-    let fast_bill = patched
-        .clone()
-        .with_precision(hpcgrid_core::billing::Precision::Fast)
-        .bill(&baseline_load)
-        .expect("fast bill");
-    let rel = (exact_bill.total().as_dollars() - fast_bill.total().as_dollars()).abs()
-        / exact_bill.total().as_dollars().abs().max(1.0);
-    assert!(
-        rel <= 1e-12,
-        "fast-mode total drifted {rel:e} past the 1e-12 tolerance"
-    );
-    println!("fast-mode tolerance: |fast - exact| / exact = {rel:.2e} <= 1e-12 ✓");
     println!("E4 OK");
 }

@@ -17,8 +17,7 @@
 //!   resolves the whole frame shape, workers gather each cohort's powers
 //!   out of the power lane;
 //! * **fused** — `advance_window` over 16-tick windows: one block fold
-//!   per cohort per window;
-//! * **fused (fast)** — the fused pass over `Precision::Fast` kernels.
+//!   per cohort per window.
 //!
 //! Every shape folds each shard's cohort — the meters that advance in
 //! lockstep — as one block per advance, so `frames` is a block one tick
@@ -27,8 +26,7 @@
 //! Correctness gates run before any timing: a small fleet's finalized
 //! bills must be bit-identical to batch `CompiledContract::bill` over the
 //! equivalent series, per meter, for every contract shape — fed through
-//! every ingest shape — and the fast fused fleet's bills must stay within
-//! the documented 1e-12 of those bit-exact bills. Machine-independent
+//! every ingest shape. Machine-independent
 //! counts are gated at every size: at most [`MAX_BYTES_PER_METER`] bytes
 //! of accrual state per meter, and one cohort per shard after the frames
 //! and fused passes (every meter folds every frame, so no cohort splits).
@@ -43,7 +41,7 @@
 //! A malformed `HPCGRID_FLEET_SHARDS` stops the binary with an error.
 
 use hpcgrid_bench::table::TextTable;
-use hpcgrid_core::billing::{Bill, Precision};
+
 use hpcgrid_core::compiled::CompiledContract;
 use hpcgrid_core::contract::Contract;
 use hpcgrid_core::demand_charge::DemandCharge;
@@ -82,8 +80,6 @@ const FUSED_SPEEDUP_FLOOR: f64 = 2.5;
 /// its clock once and each meter's quantities as `f64` columns (296 bytes
 /// per meter when every meter carried its own accrual).
 const MAX_BYTES_PER_METER: f64 = 128.0;
-/// Documented relative tolerance of `Precision::Fast` per line item.
-const FAST_RTOL: f64 = 1e-12;
 
 /// The same utility-shaped TOU schedule the billing-kernel baseline uses.
 fn tou_schedule() -> Tariff {
@@ -166,33 +162,17 @@ fn meter_series(i: usize) -> PowerSeries {
     .unwrap()
 }
 
-/// Compile every contract shape at `precision` over the fleet horizon.
+/// Compile every contract shape over the fleet horizon.
 fn compile_kernels(
     calendar: Calendar,
     shapes: &[Contract],
     start: SimTime,
     end: SimTime,
-    precision: Precision,
 ) -> Vec<Arc<CompiledContract>> {
     shapes
         .iter()
-        .map(|c| {
-            Arc::new(
-                CompiledContract::compile(&calendar, c, start, end)
-                    .unwrap()
-                    .with_precision(precision),
-            )
-        })
+        .map(|c| Arc::new(CompiledContract::compile(&calendar, c, start, end).unwrap()))
         .collect()
-}
-
-/// True if every line item of `fast` is within [`FAST_RTOL`] of `exact`'s.
-fn bills_close(exact: &Bill, fast: &Bill) -> bool {
-    exact.items.len() == fast.items.len()
-        && exact.items.iter().zip(&fast.items).all(|(e, f)| {
-            let (a, b) = (e.amount.as_dollars(), f.amount.as_dollars());
-            e.label == f.label && (a - b).abs() <= FAST_RTOL * a.abs().max(b.abs()).max(1.0)
-        })
 }
 
 /// `HPCGRID_FLEET_SHARDS`: a positive shards-per-contract count, or `None`
@@ -322,8 +302,7 @@ fn main() {
     // Correctness gate first: a small fleet's finalized bills must be
     // bit-identical to batch bills of the equivalent series, for every
     // contract shape and profile class.
-    let gate_kernels = compile_kernels(calendar, &shapes, start, end, Precision::BitExact);
-    let gate_fast_kernels = compile_kernels(calendar, &shapes, start, end, Precision::Fast);
+    let gate_kernels = compile_kernels(calendar, &shapes, start, end);
     let gate_meters = 4 * PROFILES;
     let (gate_scalar, _, _) = run_fleet(calendar, &gate_kernels, gate_meters, start, end, shards);
     let (gate_frames, _, _) =
@@ -337,25 +316,10 @@ fn main() {
         WINDOW_TICKS,
         shards,
     );
-    let (gate_fast, _, _) = run_fleet_batched(
-        calendar,
-        &gate_fast_kernels,
-        gate_meters,
-        start,
-        end,
-        WINDOW_TICKS,
-        shards,
-    );
     for i in 0..gate_meters {
         let batch = gate_kernels[i % gate_kernels.len()]
             .bill(&meter_series(i))
             .unwrap();
-        let fast = gate_fast.finalize(MeterId(i)).unwrap();
-        assert!(
-            bills_close(&batch, &fast),
-            "meter #{i} via fused (fast): bill must stay within {FAST_RTOL:e} of the \
-             bit-exact batch bill\n{batch:?}\n{fast:?}"
-        );
         for (path, fleet) in [
             ("scalar", &gate_scalar),
             ("frames", &gate_frames),
@@ -370,13 +334,12 @@ fn main() {
     }
     println!(
         "correctness: {gate_meters} meters x {TICKS} ticks bit-identical to batch bills \
-         across {} contract shapes and all 3 ingest shapes; fast fused bills within \
-         {FAST_RTOL:e}\n",
+         across {} contract shapes and all 3 ingest shapes\n",
         shapes.len()
     );
 
     // Scalar pass: one advance_tick per tick.
-    let kernels = compile_kernels(calendar, &shapes, start, end, Precision::BitExact);
+    let kernels = compile_kernels(calendar, &shapes, start, end);
     let (scalar_fleet, scalar_reg_s, scalar_stream_s) =
         run_fleet(calendar, &kernels, meters, start, end, shards);
     let scalar = scalar_fleet.stats();
@@ -384,7 +347,7 @@ fn main() {
 
     // Batched passes over the same kernels: columnar frames (plan scatter,
     // one tick per advance), then fused 16-tick windows (one block fold per
-    // cohort per window), then the fused windows over `Fast` kernels.
+    // cohort per window).
     let (frames_fleet, frames_reg_s, frames_stream_s) =
         run_fleet_batched(calendar, &kernels, meters, start, end, 1, shards);
     let frames = frames_fleet.stats();
@@ -393,17 +356,6 @@ fn main() {
         run_fleet_batched(calendar, &kernels, meters, start, end, WINDOW_TICKS, shards);
     let fused = fused_fleet.stats();
     drop(fused_fleet);
-    let fast_kernels = compile_kernels(calendar, &shapes, start, end, Precision::Fast);
-    let (fast_fleet, fast_reg_s, fast_stream_s) = run_fleet_batched(
-        calendar,
-        &fast_kernels,
-        meters,
-        start,
-        end,
-        WINDOW_TICKS,
-        shards,
-    );
-    let fast = fast_fleet.stats();
 
     let mut t = TextTable::new(vec![
         "pass",
@@ -430,7 +382,6 @@ fn main() {
             fused_stream_s,
             &fused,
         ),
-        ("fused (fast precision)", fast_reg_s, fast_stream_s, &fast),
     ] {
         t.row(vec![
             pass.to_string(),
@@ -470,12 +421,7 @@ fn main() {
         scalar.kernel_reuse_rate()
     );
     // Counts that carry across machines, gated at every fleet size.
-    for (pass, stats) in [
-        ("scalar", &scalar),
-        ("frames", &frames),
-        ("fused", &fused),
-        ("fast", &fast),
-    ] {
+    for (pass, stats) in [("scalar", &scalar), ("frames", &frames), ("fused", &fused)] {
         assert!(
             stats.bytes_per_meter <= MAX_BYTES_PER_METER,
             "{pass}: {:.1} bytes of accrual state per meter, above {MAX_BYTES_PER_METER}",
@@ -522,15 +468,6 @@ fn main() {
             fused.meter_samples_per_sec / COMMITTED_SCALAR_BASELINE,
         "cohorts": fused.cohorts,
     });
-    let fast_json = serde_json::json!({
-        "register_seconds": fast_reg_s,
-        "stream_seconds": fast_stream_s,
-        "meter_samples_per_sec": fast.meter_samples_per_sec,
-        "window_ticks": WINDOW_TICKS,
-        "precision": "fast",
-        "tolerance": FAST_RTOL,
-        "speedup_vs_bit_exact_fused": fast.meter_samples_per_sec / fused.meter_samples_per_sec,
-    });
     let env_json = serde_json::json!({
         "HPCGRID_FLEET_METERS": std::env::var("HPCGRID_FLEET_METERS").ok(),
         "HPCGRID_FLEET_SHARDS": std::env::var("HPCGRID_FLEET_SHARDS").ok(),
@@ -541,7 +478,6 @@ fn main() {
         "scalar": scalar_json,
         "frames": frames_json,
         "fused": fused_json,
-        "fused_fast": fast_json,
         "bytes_per_meter": scalar.bytes_per_meter,
         "max_bytes_per_meter": MAX_BYTES_PER_METER,
         "kernel_reuse_rate": scalar.kernel_reuse_rate(),

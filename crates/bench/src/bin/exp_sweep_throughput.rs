@@ -17,8 +17,10 @@
 //! * **probe latency, index vs filesystem** — a miss/hit probe answered by
 //!   the in-memory artifact index (one `HashMap` lookup) against the
 //!   pre-index behaviour of `stat`ing every candidate path;
-//! * **artifact bytes, binary vs JSON** — the same sweep persisted under
-//!   both encodings;
+//! * **artifact bytes, binary vs JSON** — the sweep's binary artifacts on
+//!   disk against the same artifacts as pretty-printed JSON text in the
+//!   layout the retired JSON tier wrote (`spec_hash`, `spec`, `result`,
+//!   plus a newline), computed in memory;
 //! * **journal overhead** — the warm artifact-served fold with every
 //!   completion journaled (`run_fold_journaled`) against the plain warm
 //!   fold; crash safety must cost at most a few percent. A resume smoke
@@ -31,7 +33,7 @@
 //!
 //! Correctness gates run before any timing: the warm artifact-served sweep
 //! must reproduce the cold aggregate bit-identically (order-insensitive
-//! checksum), under both artifact formats. Floors are asserted in release
+//! checksum). Floors are asserted in release
 //! builds only. The probe-speedup, journal-overhead and spec-hash gates each
 //! check the median of [`REPEATS`] paired ratios, each ratio between two
 //! best-of-three timings, so one noisy pass or pair cannot trip them; the
@@ -44,12 +46,11 @@ use hpcgrid_bench::scenarios::*;
 use hpcgrid_bench::table::TextTable;
 use hpcgrid_bench::timing::{best_of, paired, time_ns, REPEATS};
 use hpcgrid_engine::{
-    content_hash, ArtifactFormat, ContentHash, ResultCache, ScenarioCtx, ScenarioSpec,
-    SharedInputs, SweepRunner,
+    content_hash, ContentHash, ResultCache, ScenarioCtx, ScenarioSpec, SharedInputs, SweepRunner,
 };
 use hpcgrid_timeseries::series::{PowerSeries, PriceSeries};
 use hpcgrid_units::Power;
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::Path;
@@ -62,8 +63,8 @@ const DEFAULT_SCENARIOS: usize = 100_000;
 const GATE_SCENARIOS: usize = 64;
 /// Release floor: index probes must beat filesystem stat probes by this.
 const FLOOR_PROBE_SPEEDUP: f64 = 5.0;
-/// Release floor: JSON artifacts must weigh at least this much more than
-/// binary ones for the same sweep.
+/// Release floor: the JSON text of the sweep's artifacts must weigh at least
+/// this much more than the binary artifacts.
 const FLOOR_BYTES_RATIO: f64 = 2.0;
 /// Release floor: warm (artifact-served) sweep throughput, scenarios/sec.
 const FLOOR_WARM_SCENARIOS_PER_SEC: f64 = 20_000.0;
@@ -141,7 +142,6 @@ fn main() {
     let base = std::env::temp_dir().join(format!("hpcgrid-x8-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let bin_dir = base.join("bin");
-    let json_dir = base.join("json");
 
     // Shared substrate: one metered load and one market strip, registered
     // once in the zero-copy registry every scenario reads through.
@@ -180,50 +180,37 @@ fn main() {
 
     // Correctness gate first: a fresh runner over a freshly written artifact
     // dir must serve the whole gate sweep with zero executions and a
-    // bit-identical aggregate, under both artifact formats.
+    // bit-identical aggregate.
     let gate_specs = sweep_specs(GATE_SCENARIOS);
-    let mut gate_aggs: Vec<Agg> = Vec::new();
-    for format in [ArtifactFormat::Binary, ArtifactFormat::Json] {
-        let dir = base.join(format!("gate-{}", format.label()));
-        let mut cold = SweepRunner::with_artifact_dir_and_format(&dir, format)
-            .expect("gate cache dir is creatable")
-            .shared_inputs(shared.clone());
-        let (written, _) = run_pass(&mut cold, &gate_specs);
-        let written = written.expect_all("gate cold sweep");
-        let mut warm = SweepRunner::with_artifact_dir_and_format(&dir, format)
-            .expect("gate cache dir reopens")
-            .shared_inputs(shared.clone());
-        let (served, _) = run_pass(&mut warm, &gate_specs);
-        assert_eq!(
-            served.report.executed,
-            0,
-            "{} gate: second run must be fully artifact-served",
-            format.label()
-        );
-        let served = served.expect_all("gate warm sweep");
-        assert_eq!(
-            written.checksum,
-            served.checksum,
-            "{} gate: artifact round trip must be bit-identical",
-            format.label()
-        );
-        gate_aggs.push(served);
-    }
+    let gate_dir = base.join("gate");
+    let mut cold = SweepRunner::with_artifact_dir(&gate_dir)
+        .expect("gate cache dir is creatable")
+        .shared_inputs(shared.clone());
+    let (written, _) = run_pass(&mut cold, &gate_specs);
+    let written = written.expect_all("gate cold sweep");
+    let mut warm = SweepRunner::with_artifact_dir(&gate_dir)
+        .expect("gate cache dir reopens")
+        .shared_inputs(shared.clone());
+    let (served, _) = run_pass(&mut warm, &gate_specs);
     assert_eq!(
-        gate_aggs[0].checksum, gate_aggs[1].checksum,
-        "gate: binary and JSON artifacts must decode to bit-identical results"
+        served.report.executed, 0,
+        "gate: second run must be fully artifact-served"
+    );
+    let served = served.expect_all("gate warm sweep");
+    assert_eq!(
+        written.checksum, served.checksum,
+        "gate: artifact round trip must be bit-identical"
     );
     println!(
-        "correctness: {GATE_SCENARIOS} scenarios round-trip bit-identical through binary and \
-         JSON artifacts, zero re-executions\n"
+        "correctness: {GATE_SCENARIOS} scenarios round-trip bit-identical through binary \
+         artifacts, zero re-executions\n"
     );
 
     // Cold pass: every scenario executes and persists a binary artifact.
     let specs = sweep_specs(n);
-    let mut cold_runner =
-        SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-            .expect("artifact dir is creatable")
-            .shared_inputs(shared.clone());
+    let mut cold_runner = SweepRunner::with_artifact_dir(&bin_dir)
+        .expect("artifact dir is creatable")
+        .shared_inputs(shared.clone());
     let (cold_outcome, cold_s) = run_pass(&mut cold_runner, &specs);
     assert_eq!(
         cold_outcome.report.executed, n,
@@ -235,10 +222,9 @@ fn main() {
     // Warm pass: a fresh runner (index rebuilt by one walk at open) serves
     // the identical sweep entirely from the artifact tier.
     let t_open = Instant::now();
-    let mut warm_runner =
-        SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-            .expect("artifact dir reopens")
-            .shared_inputs(shared.clone());
+    let mut warm_runner = SweepRunner::with_artifact_dir(&bin_dir)
+        .expect("artifact dir reopens")
+        .shared_inputs(shared.clone());
     let index_build_s = t_open.elapsed().as_secs_f64();
     let (warm_outcome, warm_s) = run_pass(&mut warm_runner, &specs);
     let warm_report = warm_outcome.report.clone();
@@ -264,10 +250,9 @@ fn main() {
         || {
             best_of(3, || {
                 let _ = std::fs::remove_file(&journal_path);
-                let mut journaled =
-                    SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-                        .expect("artifact dir reopens for journaled timing")
-                        .shared_inputs(shared.clone());
+                let mut journaled = SweepRunner::with_artifact_dir(&bin_dir)
+                    .expect("artifact dir reopens for journaled timing")
+                    .shared_inputs(shared.clone());
                 let t = Instant::now();
                 let outcome = journaled
                     .run_fold_journaled(&journal_path, &specs, &scenario, Agg::default(), fold)
@@ -287,10 +272,9 @@ fn main() {
         },
         || {
             best_of(3, || {
-                let mut plain =
-                    SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-                        .expect("artifact dir reopens for plain timing")
-                        .shared_inputs(shared.clone());
+                let mut plain = SweepRunner::with_artifact_dir(&bin_dir)
+                    .expect("artifact dir reopens for plain timing")
+                    .shared_inputs(shared.clone());
                 let (plain_outcome, secs) = run_pass(&mut plain, &specs);
                 assert_eq!(
                     plain_outcome.report.executed, 0,
@@ -333,8 +317,7 @@ fn main() {
     // pre-index `probe_disk_stat` path stats candidate files. Same keys for
     // both.
     let probe_cache: RefCell<ResultCache<f64>> = RefCell::new(
-        ResultCache::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-            .expect("artifact dir reopens for probing"),
+        ResultCache::with_artifact_dir(&bin_dir).expect("artifact dir reopens for probing"),
     );
     let keys: Vec<_> = specs.iter().map(|s| s.content_hash()).collect();
     let stat_sample = keys.len().min(20_000);
@@ -390,21 +373,26 @@ fn main() {
         || hash_ns(&ScenarioSpec::content_hash),
     );
 
-    // Artifact weight: rerun the sweep under JSON into a sibling dir and
-    // compare on-disk bytes.
-    let mut json_runner =
-        SweepRunner::with_artifact_dir_and_format(&json_dir, ArtifactFormat::Json)
-            .expect("json dir is creatable")
-            .shared_inputs(shared.clone());
-    let (json_outcome, json_cold_s) = run_pass(&mut json_runner, &specs);
-    let json_agg = json_outcome.expect_all("json sweep");
-    assert_eq!(
-        cold_agg.checksum, json_agg.checksum,
-        "json aggregate must be bit-identical to the binary one"
-    );
-    drop(json_runner);
+    // Artifact weight: the binary artifacts on disk against the JSON text
+    // the retired JSON tier wrote for the same results (the spec embedded,
+    // pretty-printed, one trailing newline), computed in memory.
+    let mut served: ResultCache<f64> =
+        ResultCache::with_artifact_dir(&bin_dir).expect("artifact dir reopens for sizing");
+    let mut json_bytes = 0u64;
+    for (spec, key) in specs.iter().zip(&keys) {
+        let (result, _) = served
+            .get(*key)
+            .expect("artifact decodes")
+            .expect("every written artifact is indexed");
+        let artifact = Value::Map(vec![
+            ("spec_hash".to_string(), Value::Str(key.to_hex())),
+            ("spec".to_string(), spec.to_value()),
+            ("result".to_string(), result.to_value()),
+        ]);
+        let text = serde_json::to_string_pretty(&artifact).expect("serialize artifact");
+        json_bytes += text.len() as u64 + 1;
+    }
     let bin_bytes = dir_bytes(&bin_dir);
-    let json_bytes = dir_bytes(&json_dir);
     let bytes_ratio = json_bytes as f64 / bin_bytes.max(1) as f64;
 
     let cold_rate = n as f64 / cold_s;
@@ -428,12 +416,6 @@ fn main() {
         format!("{:.0}", n as f64 / journaled_s),
         "0".into(),
     ]);
-    t.row(vec![
-        "cold json (execute + persist)".into(),
-        format!("{json_cold_s:.2}"),
-        format!("{:.0}", n as f64 / json_cold_s),
-        n.to_string(),
-    ]);
     println!("{}", t.render());
     println!(
         "journal: {journal_overhead_pct:+.1}% over plain warm ({plain_s:.3} s -> \
@@ -449,7 +431,8 @@ fn main() {
          value tree ({spec_hash_speedup:.1}x, median of {REPEATS} ratios), {n} digests equal"
     );
     println!(
-        "artifacts: {bin_bytes} bytes binary vs {json_bytes} bytes json ({bytes_ratio:.2}x); \
+        "artifacts: {bin_bytes} bytes binary vs {json_bytes} bytes as json text \
+         ({bytes_ratio:.2}x); \
          warm probes {} index / {} disk reads\n",
         warm_report.index_probes, warm_report.disk_reads
     );
@@ -516,7 +499,6 @@ fn main() {
         "spec_hash": spec_hash_json,
         "ratio_repeats": REPEATS,
         "artifact_bytes": bytes_json,
-        "json_cold_seconds": json_cold_s,
         "floors": floors_json,
         "env": env_json,
         "optimized_build": cfg!(not(debug_assertions)),

@@ -17,12 +17,8 @@
 //! and a malformed value stops the binary with an error naming the
 //! variable.
 //!
-//! * `HPCGRID_PRECISION` (`bit_exact` or `fast`, read once) — the
-//!   precision [`bill`], [`bill_many`], [`compile_contract`] and
-//!   [`experiment_spec`] use. Kernels the libraries compile themselves
-//!   (a fleet's or a ledger's) stay bit-exact.
-//! * `HPCGRID_SWEEP_CACHE`, `HPCGRID_SWEEP_ARTIFACT_FORMAT` and
-//!   `HPCGRID_FAILPOINTS` — how [`experiment_runner`] builds each runner.
+//! * `HPCGRID_SWEEP_CACHE` and `HPCGRID_FAILPOINTS` — how
+//!   [`experiment_runner`] builds each runner.
 //!
 //! Heavy per-sweep substrate — compiled kernels, load and price series —
 //! rides into scenario closures through the engine's zero-copy
@@ -31,13 +27,11 @@
 //! attach it with `SweepRunner::shared_inputs`, and read entries back by
 //! key via `ctx.shared` inside the closure.
 
-use hpcgrid_core::billing::{BillingEngine, Precision};
+use hpcgrid_core::billing::BillingEngine;
 use hpcgrid_core::contract::Contract;
 use hpcgrid_core::demand_charge::DemandCharge;
 use hpcgrid_core::tariff::Tariff;
-use hpcgrid_engine::{
-    ArtifactFormat, FailpointSet, ScenarioSpecBuilder, SharedInputs, SweepRunner,
-};
+use hpcgrid_engine::{FailpointSet, ScenarioSpecBuilder, SharedInputs, SweepRunner};
 use hpcgrid_facility::node::NodeSpec;
 use hpcgrid_facility::site::{Country, SiteSpec};
 use hpcgrid_grid::demand::{demand_series, DemandParams};
@@ -50,7 +44,7 @@ use hpcgrid_scheduler::sim::ScheduleSimulator;
 use hpcgrid_timeseries::series::{PowerSeries, PriceSeries};
 use hpcgrid_units::{Calendar, DemandPrice, Duration, EnergyPrice, Money, Power, SimTime};
 use hpcgrid_workload::trace::{JobTrace, WorkloadBuilder};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The default experiment horizon: 30 days.
 pub const HORIZON_DAYS: u64 = 30;
@@ -163,43 +157,15 @@ fn edge<T>(var: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
     })
 }
 
-/// `HPCGRID_PRECISION`: a [`Precision`] label, [`Precision::BitExact`] by
-/// default.
-fn parse_precision(value: Option<&str>) -> Result<Precision, String> {
-    value.map_or(Ok(Precision::BitExact), |v| {
-        v.parse()
-            .map_err(|_| format!("unknown precision '{v}' (expected 'bit_exact' or 'fast')"))
-    })
-}
-
-/// `HPCGRID_SWEEP_ARTIFACT_FORMAT`: an [`ArtifactFormat`] label,
-/// [`ArtifactFormat::Binary`] by default.
-fn parse_artifact_format(value: Option<&str>) -> Result<ArtifactFormat, String> {
-    let Some(v) = value else {
-        return Ok(ArtifactFormat::Binary);
-    };
-    [ArtifactFormat::Binary, ArtifactFormat::Json]
-        .into_iter()
-        .find(|f| v.eq_ignore_ascii_case(f.label()))
-        .ok_or_else(|| format!("unknown artifact format '{v}' (expected 'binary' or 'json')"))
-}
-
 /// `HPCGRID_FAILPOINTS`: a failpoint configuration (grammar in
 /// [`hpcgrid_engine::chaos`]), the inert set by default.
 fn parse_failpoints(value: Option<&str>) -> Result<FailpointSet, String> {
     FailpointSet::parse(value.unwrap_or(""))
 }
 
-/// The precision the experiment helpers bill at: `HPCGRID_PRECISION`, read
-/// once.
-fn precision() -> Precision {
-    static PRECISION: OnceLock<Precision> = OnceLock::new();
-    *PRECISION.get_or_init(|| edge("HPCGRID_PRECISION", parse_precision))
-}
-
-/// A billing engine under the default calendar at the edge precision.
+/// A billing engine under the default calendar.
 fn engine() -> BillingEngine {
-    BillingEngine::new(Calendar::default()).with_precision(precision())
+    BillingEngine::new(Calendar::default())
 }
 
 /// Bill a load under a contract with the default calendar.
@@ -236,16 +202,15 @@ pub fn compile_contract(
 /// world's identity (site, horizon) so specs — and therefore cache keys —
 /// from different experiment binaries agree on what the baseline is.
 ///
-/// The edge billing [`Precision`] (the `HPCGRID_PRECISION` selection the
-/// experiment helpers bill under) is recorded as the reserved `precision`
-/// param, so bit-exact and fast runs of one experiment cache under
-/// different content hashes and can never serve each other's results.
+/// Every bill is bit-exact, and the reserved `precision` param still says
+/// so (`"bit_exact"`): it is part of each spec's content hash, so keeping it
+/// keeps the hashes, and the artifacts already cached under them, valid.
 pub fn experiment_spec(experiment: &str, trace_seed: u64) -> ScenarioSpecBuilder {
     hpcgrid_engine::ScenarioSpec::builder(experiment)
         .site("exp-site")
         .trace_seed(trace_seed)
         .horizon_days(HORIZON_DAYS)
-        .precision(precision().label())
+        .precision("bit_exact")
 }
 
 /// A sweep runner for experiment binaries, configured at the edge:
@@ -254,18 +219,16 @@ pub fn experiment_spec(experiment: &str, trace_seed: u64) -> ScenarioSpecBuilder
 ///   artifacts under that directory and re-runs only compute the delta;
 ///   otherwise the cache is in-memory (still deduplicates within one
 ///   process).
-/// * `HPCGRID_SWEEP_ARTIFACT_FORMAT` — the artifact encoding: `binary`
-///   (compact and checksummed, the default) or `json`.
 /// * `HPCGRID_FAILPOINTS` — fault injection, parsed fresh for every runner
 ///   so its triggers count that runner's hits only.
 pub fn experiment_runner<R>() -> SweepRunner<R>
 where
     R: Clone + Send + serde::Serialize + serde::Deserialize,
 {
-    let format = edge("HPCGRID_SWEEP_ARTIFACT_FORMAT", parse_artifact_format);
     let runner = match std::env::var("HPCGRID_SWEEP_CACHE") {
-        Ok(dir) if !dir.is_empty() => SweepRunner::with_artifact_dir_and_format(dir, format)
-            .expect("HPCGRID_SWEEP_CACHE directory is creatable"),
+        Ok(dir) if !dir.is_empty() => {
+            SweepRunner::with_artifact_dir(dir).expect("HPCGRID_SWEEP_CACHE directory is creatable")
+        }
         _ => SweepRunner::new(),
     };
     runner.chaos(edge("HPCGRID_FAILPOINTS", parse_failpoints))
@@ -342,33 +305,9 @@ mod tests {
         let spec = experiment_spec("demo", 1).build();
         assert_eq!(
             spec.precision(),
-            Some(precision().label()),
+            Some("bit_exact"),
             "specs must pin the precision their results were billed at"
         );
-    }
-
-    #[test]
-    fn precision_edge_value_parses_or_errors() {
-        assert_eq!(parse_precision(None), Ok(Precision::BitExact));
-        assert_eq!(parse_precision(Some("fast")), Ok(Precision::Fast));
-        assert_eq!(parse_precision(Some("bit_exact")), Ok(Precision::BitExact));
-        let err = parse_precision(Some("turbo")).unwrap_err();
-        assert!(err.contains("turbo"), "{err}");
-    }
-
-    #[test]
-    fn artifact_format_edge_value_parses_or_errors() {
-        assert_eq!(parse_artifact_format(None), Ok(ArtifactFormat::Binary));
-        assert_eq!(
-            parse_artifact_format(Some("binary")),
-            Ok(ArtifactFormat::Binary)
-        );
-        assert_eq!(
-            parse_artifact_format(Some("json")),
-            Ok(ArtifactFormat::Json)
-        );
-        let err = parse_artifact_format(Some("yaml")).unwrap_err();
-        assert!(err.contains("yaml"), "{err}");
     }
 
     #[test]

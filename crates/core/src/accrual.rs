@@ -37,9 +37,8 @@
 //! a single one-meter block over the whole load, then `finalize()`. So
 //! `finalize()` after `k` samples is **bit for bit** the batch `Bill` of the
 //! first-`k`-samples series by construction, whatever block shapes the
-//! samples came in (invariant 8). Under
-//! [`Precision::BitExact`](crate::billing::Precision) that bill also equals
-//! the interpreter's — equal totals, equal line items, equal labels —
+//! samples came in (invariant 8). That bill also equals the interpreter's —
+//! equal totals, equal line items, equal labels —
 //! because every accumulator replicates the interpreter's expression shape
 //! and summation order:
 //!
@@ -86,7 +85,7 @@
 //! [`ContractLedger::bill_as_of`](crate::ledger::ContractLedger::bill_as_of)
 //! over the same stream.
 
-use crate::billing::{Bill, LineItem, Precision};
+use crate::billing::{Bill, LineItem};
 use crate::compiled::{CompiledContract, LoweredTariff};
 use crate::demand_charge::{DemandAssessment, DemandBasis, DemandCharge};
 use crate::powerband::Powerband;
@@ -1079,7 +1078,6 @@ fn fold_lanes(k: &CompiledContract, c: &mut Cohort, lanes: Range<usize>, kws: &[
     debug_assert_eq!(kws.len(), lanes.len() * w);
     let (start, step, step_h) = (c.start, c.step, c.step_h);
     let g0 = c.clock.n;
-    let fast = k.precision() == Precision::Fast;
     let starts: &[u64] = &k.month_starts;
     // Start second of block sample `j`, and the block index of the first
     // sample starting at or after boundary `b` (which lies after sample
@@ -1107,22 +1105,11 @@ fn fold_lanes(k: &CompiledContract, c: &mut Cohort, lanes: Range<usize>, kws: &[
                     let price = tl.prices[*seg];
                     let j_end = tl.breaks.get(*seg + 1).map_or(w, |&b| until(b));
                     // The interpreter's exact expression and order per
-                    // sample; under `Fast`, one pairwise sum per member
-                    // per run.
+                    // sample.
                     let energy = |acc: f64, kw: f64| acc + kw * step_h * price;
-                    let pairwise =
-                        |acc: f64, run: &[f64]| acc + kernels::sum_pairwise(run) * step_h * price;
-                    match (dollars.len(), fast && j_end - j > 1) {
-                        (1, false) => {
-                            solo = kws[j..j_end].iter().fold(solo, |a, &kw| energy(a, kw))
-                        }
-                        (1, true) => solo = pairwise(solo, &kws[j..j_end]),
-                        (_, false) => sweep(dollars, kws, w, j..j_end, energy),
-                        (_, true) => {
-                            for (acc, row) in dollars.iter_mut().zip(kws.chunks_exact(w)) {
-                                *acc = pairwise(*acc, &row[j..j_end]);
-                            }
-                        }
+                    match dollars.len() {
+                        1 => solo = kws[j..j_end].iter().fold(solo, |a, &kw| energy(a, kw)),
+                        _ => sweep(dollars, kws, w, j..j_end, energy),
                     }
                     j = j_end;
                 }
@@ -1151,13 +1138,7 @@ fn fold_lanes(k: &CompiledContract, c: &mut Cohort, lanes: Range<usize>, kws: &[
                         }
                     }
                     let j_end = starts.get(*bi).map_or(w, |&nb| until(nb));
-                    if fast && j_end - j > 1 {
-                        for (acc, row) in kwh.iter_mut().zip(kws.chunks_exact(w)) {
-                            *acc += kernels::sum_pairwise(&row[j..j_end]) * step_h;
-                        }
-                    } else {
-                        sweep(kwh, kws, w, j..j_end, |acc, kw| acc + kw * step_h);
-                    }
+                    sweep(kwh, kws, w, j..j_end, |acc, kw| acc + kw * step_h);
                     *open = true;
                     j = j_end;
                 }
@@ -1512,7 +1493,6 @@ impl DemandClock {
 ///
 /// ```
 /// use hpcgrid_core::accrual::BillAccrual;
-/// use hpcgrid_core::billing::Precision;
 /// use hpcgrid_core::compiled::CompiledContract;
 /// use hpcgrid_core::contract::Contract;
 /// use hpcgrid_core::tariff::Tariff;
@@ -1524,12 +1504,12 @@ impl DemandClock {
 ///     .tariff(Tariff::fixed(EnergyPrice::per_kilowatt_hour(0.07)))
 ///     .build()?;
 /// let cal = Calendar::default();
-/// // Pin bit-exact: the bit-identity claim below is a `BitExact` statement
-/// // (under a `Fast` kernel the accrual stays within its 1e-12 tolerance).
-/// let kernel = Arc::new(
-///     CompiledContract::compile(&cal, &contract, SimTime::EPOCH, SimTime::from_days(30))?
-///         .with_precision(Precision::BitExact),
-/// );
+/// let kernel = Arc::new(CompiledContract::compile(
+///     &cal,
+///     &contract,
+///     SimTime::EPOCH,
+///     SimTime::from_days(30),
+/// )?);
 ///
 /// let step = Duration::from_minutes(15.0);
 /// let mut meter = BillAccrual::new(Arc::clone(&kernel), SimTime::EPOCH, step)?;
@@ -1625,16 +1605,12 @@ impl BillAccrual {
     ///
     /// # Equivalence contract
     ///
-    /// Under a [`Precision::BitExact`] kernel the accrued state after
-    /// `push_run(powers)` is **bit-identical** to the state after
-    /// `powers.len()` sequential `push_next` calls: every accumulator sees
-    /// the same per-sample `f64` expressions in the same order — only
-    /// cursor bookkeeping is hoisted out of the inner loops, and a lane max
-    /// replaces per-sample peak updates only where it is bit-equal (see the
-    /// module docs). Under a [`Precision::Fast`] kernel, constant-price
-    /// runs fold through the 8-lane pairwise kernels in
-    /// [`hpcgrid_units::kernels`] instead, within the fast path's documented
-    /// 1e-12 relative tolerance.
+    /// The accrued state after `push_run(powers)` is **bit-identical** to
+    /// the state after `powers.len()` sequential `push_next` calls: every
+    /// accumulator sees the same per-sample `f64` expressions in the same
+    /// order — only cursor bookkeeping is hoisted out of the inner loops,
+    /// and a lane max replaces per-sample peak updates only where it is
+    /// bit-equal (see the module docs).
     ///
     /// Error behaviour is per-sample-identical too: a run crossing the
     /// compile horizon applies the fitting prefix and then returns exactly
@@ -1654,7 +1630,7 @@ impl BillAccrual {
     /// can keep accruing afterwards (month-to-date reporting).
     ///
     /// Bit-identical to `CompiledContract::bill_with_events` over the
-    /// samples pushed so far, under `Precision::BitExact`. Errors on an
+    /// samples pushed so far. Errors on an
     /// empty stream, exactly like the batch path. After
     /// [`BillAccrual::rebind_at`] the closed revision slices are folded
     /// with the open one via [`Bill::fold`] — bit-identical to the ledger's

@@ -124,55 +124,23 @@ impl Bill {
     }
 }
 
-/// Numerical fidelity of billing evaluation.
+/// The billing precision label: bills are always bit-identical to the
+/// interpreter's accumulation order, so this has one variant.
 ///
-/// `BitExact` (the default) replicates the interpreter's floating-point
-/// accumulation order exactly, so compiled bills are bit-identical to
-/// [`BillingEngine::bill`]. `Fast` opts into the vectorized kernel path
-/// (8-lane pairwise summation, branchless lane-max demand scans, pairwise
-/// block-tariff bucket sums): totals stay within a relative tolerance of
-/// `1e-12` of the bit-exact path for horizons up to a year (demand-charge
-/// peaks are *identical* whenever the demand interval is no coarser than the
-/// load's step), at ≥1.5× the bit-exact throughput in release builds. See
-/// the "precision modes" section of the README and the invariants table in
-/// `docs/ARCHITECTURE.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+/// It stays only because the `benchmark/` package names
+/// `Precision::BitExact`, its [`label`](Precision::label) and the identity
+/// `with_precision` constructors; no workspace code uses it. The next
+/// change to the benchmark can delete it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
-    /// Bit-identical to the interpreted path (the default).
-    #[default]
+    /// Bit-identical to the interpreted path.
     BitExact,
-    /// Vectorized pairwise summation within a `1e-12` relative tolerance.
-    Fast,
 }
 
 impl Precision {
-    /// Stable label used in scenario specs and bench JSON.
+    /// Stable label used in scenario specs (`"bit_exact"`).
     pub fn label(self) -> &'static str {
-        match self {
-            Precision::BitExact => "bit_exact",
-            Precision::Fast => "fast",
-        }
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = CoreError;
-
-    fn from_str(s: &str) -> Result<Precision> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "fast" => Ok(Precision::Fast),
-            "bit_exact" | "bitexact" | "bit-exact" | "exact" => Ok(Precision::BitExact),
-            other => Err(CoreError::BadComponent(format!(
-                "unknown precision '{other}' (expected 'bit_exact' or 'fast')"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        "bit_exact"
     }
 }
 
@@ -180,27 +148,18 @@ impl std::fmt::Display for Precision {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BillingEngine {
     calendar: Calendar,
-    precision: Precision,
 }
 
 impl BillingEngine {
-    /// An engine billing under `calendar` at [`Precision::BitExact`].
+    /// An engine billing under `calendar`.
     pub fn new(calendar: Calendar) -> BillingEngine {
-        BillingEngine {
-            calendar,
-            precision: Precision::BitExact,
-        }
+        BillingEngine { calendar }
     }
 
-    /// The same engine at an explicit [`Precision`].
-    pub fn with_precision(mut self, precision: Precision) -> BillingEngine {
-        self.precision = precision;
+    /// The same engine. Kept, as an identity, only because the `benchmark/`
+    /// package calls it; see [`Precision`].
+    pub fn with_precision(self, _precision: Precision) -> BillingEngine {
         self
-    }
-
-    /// The precision this engine bills at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The calendar in use.
@@ -234,10 +193,7 @@ impl BillingEngine {
         start: hpcgrid_units::SimTime,
         end: hpcgrid_units::SimTime,
     ) -> Result<CompiledContract> {
-        Ok(
-            CompiledContract::compile(&self.calendar, contract, start, end)?
-                .with_precision(self.precision),
-        )
+        CompiledContract::compile(&self.calendar, contract, start, end)
     }
 
     /// Bill many loads under one contract (no emergency events): the
@@ -308,8 +264,7 @@ impl BillingEngine {
             start.expect("non-empty loads"),
             end.expect("non-empty loads"),
         );
-        let compiled = CompiledContract::compile(&self.calendar, contract, start, end)?
-            .with_precision(self.precision);
+        let compiled = CompiledContract::compile(&self.calendar, contract, start, end)?;
         try_par_map(loads, |load| compiled.bill_with_events(load, events))
             .map_err(|e| CoreError::BatchPanic(e.to_string()))?
             .into_iter()
@@ -326,13 +281,6 @@ impl BillingEngine {
     ) -> Result<Bill> {
         if load.is_empty() {
             return Err(CoreError::BadSeries("load series is empty".into()));
-        }
-        if self.precision == Precision::Fast {
-            // The fast kernels live on the compiled fold; a one-load
-            // horizon compiles in microseconds.
-            return self
-                .compile(contract, load.start(), load.end())?
-                .bill_with_events(load, events);
         }
         let mut items = Vec::new();
         for (i, tariff) in contract.tariffs.iter().enumerate() {
@@ -593,47 +541,6 @@ mod tests {
         for (load, bill) in loads.iter().zip(&batch) {
             assert_eq!(e.bill_with_events(&c, load, &events).unwrap(), *bill);
         }
-    }
-
-    #[test]
-    fn precision_labels_parse_and_default() {
-        assert_eq!(Precision::default(), Precision::BitExact);
-        assert_eq!("fast".parse::<Precision>().unwrap(), Precision::Fast);
-        assert_eq!(" FAST ".parse::<Precision>().unwrap(), Precision::Fast);
-        assert_eq!(
-            "bit_exact".parse::<Precision>().unwrap(),
-            Precision::BitExact
-        );
-        assert_eq!(
-            "Bit-Exact".parse::<Precision>().unwrap(),
-            Precision::BitExact
-        );
-        assert!("turbo".parse::<Precision>().is_err());
-        assert_eq!(Precision::Fast.label(), "fast");
-        assert_eq!(Precision::BitExact.to_string(), "bit_exact");
-    }
-
-    #[test]
-    fn engine_precision_knob_round_trips() {
-        let e = engine().with_precision(Precision::Fast);
-        assert_eq!(e.precision(), Precision::Fast);
-        // Fast bills agree with exact bills within the documented relative
-        // tolerance (and exactly, for this small bit-exactly-summable load).
-        let exact = engine().with_precision(Precision::BitExact);
-        let load = flat_load(40 * 24, 7.0);
-        let c = full_contract();
-        let a = exact.bill(&c, &load).unwrap().total().as_dollars();
-        let b = e.bill(&c, &load).unwrap().total().as_dollars();
-        assert!((a - b).abs() / a.abs().max(1.0) <= 1e-12, "{a} vs {b}");
-    }
-
-    #[test]
-    fn fast_engine_compiled_kernel_inherits_precision() {
-        let e = engine().with_precision(Precision::Fast);
-        let compiled = e
-            .compile(&full_contract(), SimTime::EPOCH, SimTime::from_days(30))
-            .unwrap();
-        assert_eq!(compiled.precision(), Precision::Fast);
     }
 
     #[test]

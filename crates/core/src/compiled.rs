@@ -35,28 +35,22 @@
 //! strip resolution (a tight segment splice with no calendar calls) and
 //! leaves every other piece untouched.
 //!
-//! # Precision modes
+//! # Bit identity
 //!
-//! Under the default [`Precision::BitExact`], evaluation is **bit-identical**
-//! to the interpreted path: segment prices are computed with the same
-//! `price_at` expressions the interpreter would use, and every
-//! floating-point accumulation replicates the interpreter's expression shape
-//! and summation order (see the `compiled_equivalence` integration tests).
-//! The same holds for every patched kernel: `patch` and `with_price_strip`
-//! produce kernels equal to a fresh [`CompiledContract::compile`] of
-//! [`Contract::apply`]'s output (see the `patch_equivalence` property
-//! tests), because pieces are lowered by one shared routine and unchanged
-//! pieces are reused verbatim. Compilation costs one `price_at` call per
-//! candidate breakpoint (a few per day of horizon), so it amortizes after
-//! roughly two bills per contract — and a patch amortizes immediately.
-//!
-//! [`Precision::Fast`] opts into the vectorized kernels from
-//! `hpcgrid_units::kernels`: 8-lane pairwise summation for energy costs and
-//! block-tariff buckets (within a `1e-12` relative tolerance of the exact
-//! path for horizons up to a year; property-tested in `fast_equivalence`).
-//! Both modes take a month's demand peak as one lane max when metering is
-//! the identity, which is *bit-equal* to the per-sample peak (see
-//! [`BillAccrual::push_run`](crate::accrual::BillAccrual::push_run)).
+//! Evaluation is **bit-identical** to the interpreted path: segment prices
+//! are computed with the same `price_at` expressions the interpreter would
+//! use, and every floating-point accumulation replicates the interpreter's
+//! expression shape and summation order (see the `compiled_equivalence`
+//! integration tests). The same holds for every patched kernel: `patch` and
+//! `with_price_strip` produce kernels equal to a fresh
+//! [`CompiledContract::compile`] of [`Contract::apply`]'s output (see the
+//! `patch_equivalence` property tests), because pieces are lowered by one
+//! shared routine and unchanged pieces are reused verbatim. Compilation
+//! costs one `price_at` call per candidate breakpoint (a few per day of
+//! horizon), so it amortizes after roughly two bills per contract — and a
+//! patch amortizes immediately. A month's demand peak is one lane max when
+//! metering is the identity, which is *bit-equal* to the per-sample peak
+//! (see [`BillAccrual::push_run`](crate::accrual::BillAccrual::push_run)).
 
 use crate::accrual::Cohort;
 use crate::billing::{Bill, Precision};
@@ -294,15 +288,10 @@ pub struct CompiledContract {
     pub(crate) powerband: Option<Powerband>,
     pub(crate) emergency: Option<EmergencyDrClause>,
     pub(crate) monthly_fee: Money,
-    /// Numerical fidelity of evaluation (see [`Precision`]);
-    /// [`Precision::BitExact`] unless set by [`CompiledContract::with_precision`].
-    precision: Precision,
 }
 
 impl CompiledContract {
-    /// Lower `contract` under `calendar` for loads inside `[start, end)`,
-    /// billing at [`Precision::BitExact`] (see
-    /// [`CompiledContract::with_precision`]).
+    /// Lower `contract` under `calendar` for loads inside `[start, end)`.
     ///
     /// Component parameters are validated here, once, instead of on every
     /// bill. Errors if the horizon is empty.
@@ -349,20 +338,13 @@ impl CompiledContract {
             powerband: contract.powerband,
             emergency: contract.emergency,
             monthly_fee: contract.monthly_fee,
-            precision: Precision::BitExact,
         })
     }
 
-    /// The same kernel evaluating at an explicit [`Precision`]. Lowered
-    /// pieces are shared with `self`, so switching precision costs nothing.
-    pub fn with_precision(mut self, precision: Precision) -> CompiledContract {
-        self.precision = precision;
+    /// The same kernel. Kept, as an identity, only because the
+    /// `benchmark/` package calls it; see [`Precision`].
+    pub fn with_precision(self, _precision: Precision) -> CompiledContract {
         self
-    }
-
-    /// The precision this kernel bills at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Always `(0, 0)`: kernels keep no per-geometry segment-map cache, so
@@ -937,68 +919,6 @@ mod tests {
                 .iter()
                 .map(fingerprint::of_tariff)
                 .collect::<Vec<_>>()
-        );
-    }
-
-    fn assert_close(a: Money, b: Money) {
-        let (a, b) = (a.as_dollars(), b.as_dollars());
-        let scale = a.abs().max(b.abs()).max(1.0);
-        assert!(
-            (a - b).abs() / scale <= 1e-12,
-            "fast/exact mismatch: {a} vs {b}"
-        );
-    }
-
-    #[test]
-    fn fast_path_within_tolerance_and_demand_bit_equal() {
-        let cal = Calendar::default();
-        let load = load_15min(40, 8.0);
-        let exact = CompiledContract::compile(&cal, &tou_contract(), load.start(), load.end())
-            .unwrap()
-            .with_precision(Precision::BitExact);
-        // `clone` shares the lowered pieces; only the precision knob differs.
-        let fast = exact.clone().with_precision(Precision::Fast);
-        assert_eq!(fast.precision(), Precision::Fast);
-        let a = exact.bill(&load).unwrap();
-        let b = fast.bill(&load).unwrap();
-        assert_eq!(a.items.len(), b.items.len());
-        for (x, y) in a.items.iter().zip(&b.items) {
-            assert_eq!(x.label, y.label);
-            assert_close(x.amount, y.amount);
-        }
-        // The demand charge (15-min interval over 15-min samples) takes the
-        // lane-max path and is bit-equal, not merely close.
-        let dc_kind = ContractComponentKind::DemandCharge;
-        assert_eq!(
-            a.item_for(dc_kind).unwrap().amount,
-            b.item_for(dc_kind).unwrap().amount
-        );
-    }
-
-    #[test]
-    fn fast_block_tariff_within_tolerance() {
-        let cal = Calendar::default();
-        let c = Contract::builder("block")
-            .tariff(Tariff::Block(BlockTariff {
-                blocks: vec![
-                    crate::tariff::BlockStep {
-                        up_to_kwh: Some(1_000_000.0),
-                        price: EnergyPrice::per_kilowatt_hour(0.10),
-                    },
-                    crate::tariff::BlockStep {
-                        up_to_kwh: None,
-                        price: EnergyPrice::per_kilowatt_hour(0.06),
-                    },
-                ],
-            }))
-            .build()
-            .unwrap();
-        let load = load_15min(45, 7.3);
-        let exact = CompiledContract::compile(&cal, &c, load.start(), load.end()).unwrap();
-        let fast = exact.clone().with_precision(Precision::Fast);
-        assert_close(
-            exact.bill(&load).unwrap().total(),
-            fast.bill(&load).unwrap().total(),
         );
     }
 

@@ -48,9 +48,9 @@
 //!
 //! The fleet preserves the accrual layer's bit-identity invariant meter by
 //! meter and *per ingest shape*: `finalize(meter)` equals the batch bill
-//! of that meter's sample history under `Precision::BitExact`, regardless
-//! of shard count, cohort membership, tick batching, or whether the
-//! samples arrived as AoS ticks, frames, or fused windows. The shard count
+//! of that meter's sample history, regardless of shard count, cohort
+//! membership, tick batching, or whether the samples arrived as AoS ticks,
+//! frames, or fused windows. The shard count
 //! (default: available parallelism; set it with [`MeterFleet::with_shards`])
 //! is therefore pure deployment tuning.
 //!
@@ -511,8 +511,8 @@ impl MeterFleet {
     }
 
     /// Register a meter against an already-compiled kernel — for a caller
-    /// that compiled the kernel itself (for example at an explicit
-    /// precision). The kernel must share the fleet's horizon.
+    /// that compiled (or patched) the kernel itself. The kernel must share
+    /// the fleet's horizon.
     pub fn register_compiled(
         &mut self,
         kernel: Arc<CompiledContract>,

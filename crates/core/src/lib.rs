@@ -48,7 +48,7 @@ pub mod tariff;
 pub mod typology;
 
 pub use accrual::{AccrualSnapshot, BillAccrual};
-pub use billing::{Bill, BillingEngine, Precision};
+pub use billing::{Bill, BillingEngine};
 pub use checkpoint::{CheckpointStore, FleetCheckpoint};
 pub use compiled::CompiledContract;
 pub use contract::{Contract, ContractBuilder, ContractDelta};

@@ -2,8 +2,7 @@
 //!
 //! The streaming subsystem's contract (see `hpcgrid_core::accrual`) is that
 //! `BillAccrual::finalize()` after `k` pushes equals the batch bill of the
-//! first-`k`-samples series, bit for bit, under `Precision::BitExact` — at
-//! *every* prefix, across all four tariff kinds, wrap-midnight TOU windows,
+//! first-`k`-samples series, bit for bit — at *every* prefix, across all four tariff kinds, wrap-midnight TOU windows,
 //! month-straddling streams, coarse metering intervals, top-k demand bases,
 //! and emergency event windows. `Bill` compares `Money` exactly, so
 //! `prop_assert_eq!` demands bit-level equality.
@@ -11,12 +10,11 @@
 //! On top of pure streaming: mid-stream `rebind` onto a patched kernel must
 //! match a batch bill under that kernel; non-accrual-preserving deltas must
 //! be rejected; snapshot/restore must round-trip through serde and continue
-//! bit-identically; the sharded `MeterFleet` must produce the same bills
-//! for any shard count; and `Precision::Fast` batch bills must agree with
-//! the (always bit-exact-ordered) accrual within the documented 1e-12.
+//! bit-identically; and the sharded `MeterFleet` must produce the same
+//! bills for any shard count.
 
 use hpcgrid_core::accrual::BillAccrual;
-use hpcgrid_core::billing::{Bill, Precision};
+use hpcgrid_core::billing::Bill;
 use hpcgrid_core::compiled::CompiledContract;
 use hpcgrid_core::contract::{Contract, ContractDelta};
 use hpcgrid_core::demand_charge::{DemandBasis, DemandCharge};
@@ -34,9 +32,6 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Documented relative tolerance of `Precision::Fast`.
-const FAST_RTOL: f64 = 1e-12;
 
 /// kW samples for the bit-exact properties: import in `0..20 000` mixed
 /// with export (negative power), exact zeros of both signs, repeats of the
@@ -65,12 +60,6 @@ fn signed_kw(len: Range<usize>) -> impl Strategy<Value = Vec<f64>> {
 /// for the every-prefix comparison loop.
 fn load_strategy() -> impl Strategy<Value = PowerSeries> {
     load_of(signed_kw(1..120))
-}
-
-/// A non-negative load for the `Fast` tolerance property: its 1e-12 bound
-/// is documented for same-sign addends.
-fn import_load_strategy() -> impl Strategy<Value = PowerSeries> {
-    load_of(prop::collection::vec(0.0f64..20_000.0, 1..120))
 }
 
 fn load_of(kw: impl Strategy<Value = Vec<f64>>) -> impl Strategy<Value = PowerSeries> {
@@ -244,11 +233,7 @@ fn calendars() -> Vec<Calendar> {
 }
 
 fn compile(cal: &Calendar, contract: &Contract, load: &PowerSeries) -> Arc<CompiledContract> {
-    Arc::new(
-        CompiledContract::compile(cal, contract, load.start(), load.end())
-            .unwrap()
-            .with_precision(Precision::BitExact),
-    )
+    Arc::new(CompiledContract::compile(cal, contract, load.start(), load.end()).unwrap())
 }
 
 /// Stream the whole load, asserting finalize-vs-batch bit-identity at
@@ -266,23 +251,6 @@ fn assert_stream_matches_batch(
             kernel.bill(&load.prefix(k + 1)).unwrap(),
             "prefix {} diverged",
             k + 1
-        );
-    }
-    Ok(())
-}
-
-/// Assert two bills agree line-by-line within the fast-path tolerance.
-fn assert_bills_close(exact: &Bill, fast: &Bill) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&exact.contract, &fast.contract);
-    prop_assert_eq!(exact.items.len(), fast.items.len());
-    for (e, f) in exact.items.iter().zip(&fast.items) {
-        prop_assert_eq!(&e.label, &f.label);
-        let (a, b) = (e.amount.as_dollars(), f.amount.as_dollars());
-        let scale = a.abs().max(b.abs()).max(1.0);
-        prop_assert!(
-            (a - b).abs() <= FAST_RTOL * scale,
-            "line item {} diverged: exact {a:e} vs fast {b:e}",
-            e.label
         );
     }
     Ok(())
@@ -496,27 +464,6 @@ proptest! {
         prop_assert_eq!(original.snapshot(), restored.snapshot());
     }
 
-    /// `Precision::Fast` batch bills agree with the accrual (which always
-    /// accumulates in the bit-exact order) within the documented tolerance.
-    #[test]
-    fn fast_mode_agrees_within_tolerance(
-        contract in rich_contract_strategy(),
-        load in import_load_strategy(),
-        cal_idx in 0usize..3,
-    ) {
-        let cal = calendars()[cal_idx];
-        let fast = Arc::new(
-            CompiledContract::compile(&cal, &contract, load.start(), load.end())
-                .unwrap()
-                .with_precision(Precision::Fast),
-        );
-        let mut acc = BillAccrual::new(Arc::clone(&fast), load.start(), load.step()).unwrap();
-        for (t, &p) in load.iter() {
-            acc.push(t, p).unwrap();
-        }
-        assert_bills_close(&acc.finalize().unwrap(), &fast.bill(&load).unwrap())?;
-    }
-
     /// Fleet bills are bit-identical to per-meter batch bills for ANY shard
     /// count, and identical across shard counts — sharding is pure
     /// deployment tuning.
@@ -547,15 +494,12 @@ proptest! {
         let end = start + step * n as u64;
         let kernel = Arc::new(
             CompiledContract::compile(&cal, &contract, start, end)
-                .unwrap()
-                .with_precision(Precision::BitExact),
+                .unwrap(),
         );
         let expected: Vec<Bill> = series.iter().map(|s| kernel.bill(s).unwrap()).collect();
         let mut all_bills = Vec::new();
         for shards in [1usize, 3, 16] {
             let mut fleet = MeterFleet::with_shards(cal, start, end, shards);
-            // register_compiled pins the BitExact kernel, so the equality
-            // does not depend on the precision the fleet compiles at.
             let ids: Vec<_> = series
                 .iter()
                 .map(|_| {
@@ -666,11 +610,7 @@ fn fleet_apply_delta_reshards_and_continues() {
     let end = SimTime::from_days(45);
     let step = Duration::from_hours(1.0);
     let n = 40 * 24usize;
-    let kernel = Arc::new(
-        CompiledContract::compile(&cal, &contract, start, end)
-            .unwrap()
-            .with_precision(Precision::BitExact),
-    );
+    let kernel = Arc::new(CompiledContract::compile(&cal, &contract, start, end).unwrap());
     let mut fleet = MeterFleet::with_shards(cal, start, end, 4);
     let a = fleet
         .register_compiled(Arc::clone(&kernel), start, step)

@@ -15,7 +15,7 @@
 //! `cargo test -p hpcgrid-core --test accrual_golden -- --ignored`.
 
 use hpcgrid_core::accrual::{AccrualSnapshot, BillAccrual};
-use hpcgrid_core::billing::{Bill, Precision};
+use hpcgrid_core::billing::Bill;
 use hpcgrid_core::compiled::CompiledContract;
 use hpcgrid_core::contract::Contract;
 use hpcgrid_core::demand_charge::{DemandBasis, DemandCharge};
@@ -53,8 +53,7 @@ fn compile(contract: &Contract) -> Arc<CompiledContract> {
             SimTime::EPOCH,
             SimTime::from_days(HORIZON_DAYS),
         )
-        .unwrap()
-        .with_precision(Precision::BitExact),
+        .unwrap(),
     )
 }
 

@@ -3,7 +3,7 @@
 //! per-sample".
 //!
 //! Three ways of feeding the same samples must close the same books, bit
-//! for bit, under `Precision::BitExact`:
+//! for bit:
 //!
 //! * per-sample `BillAccrual::push_next`,
 //! * fused `BillAccrual::push_run` over arbitrary chunkings,
@@ -14,11 +14,9 @@
 //! rest of *its* window only; a mid-stream `apply_delta` invalidates the
 //! cached scatter plan and the rebuilt plan bills identically; duplicate
 //! meter ids in a frame degrade to per-frame folds without changing
-//! bills; and `Precision::Fast` fused runs stay within the documented
-//! 1e-12 of the bit-exact batch bill.
+//! bills.
 
 use hpcgrid_core::accrual::BillAccrual;
-use hpcgrid_core::billing::{Bill, Precision};
 use hpcgrid_core::compiled::CompiledContract;
 use hpcgrid_core::contract::{Contract, ContractDelta};
 use hpcgrid_core::demand_charge::{DemandBasis, DemandCharge};
@@ -35,9 +33,6 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Documented relative tolerance of `Precision::Fast`.
-const FAST_RTOL: f64 = 1e-12;
 
 /// Horizon every kernel in this file compiles against.
 const HORIZON_DAYS: u64 = 40;
@@ -117,7 +112,7 @@ fn flat_contract() -> Contract {
         .unwrap()
 }
 
-fn compile(contract: &Contract, precision: Precision) -> Arc<CompiledContract> {
+fn compile(contract: &Contract) -> Arc<CompiledContract> {
     Arc::new(
         CompiledContract::compile(
             &Calendar::default(),
@@ -125,8 +120,7 @@ fn compile(contract: &Contract, precision: Precision) -> Arc<CompiledContract> {
             SimTime::EPOCH,
             SimTime::from_days(HORIZON_DAYS),
         )
-        .unwrap()
-        .with_precision(precision),
+        .unwrap(),
     )
 }
 
@@ -171,32 +165,9 @@ fn stream_strategy() -> impl Strategy<Value = (SimTime, Duration, Vec<f64>)> {
     geometry(signed_kw(1..150))
 }
 
-/// A non-negative stream for the `Fast` tolerance property: its 1e-12
-/// bound is documented for same-sign addends.
-fn import_stream_strategy() -> impl Strategy<Value = (SimTime, Duration, Vec<f64>)> {
-    geometry(prop::collection::vec(0.0f64..20_000.0, 1..150))
-}
-
 /// Chunk widths for splitting a stream into `push_run` calls / windows.
 fn chunks_strategy() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..17, 1..40)
-}
-
-/// Assert two bills agree line-by-line within the fast-path tolerance.
-fn assert_bills_close(exact: &Bill, fast: &Bill) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&exact.contract, &fast.contract);
-    prop_assert_eq!(exact.items.len(), fast.items.len());
-    for (e, f) in exact.items.iter().zip(&fast.items) {
-        prop_assert_eq!(&e.label, &f.label);
-        let (a, b) = (e.amount.as_dollars(), f.amount.as_dollars());
-        let scale = a.abs().max(b.abs()).max(1.0);
-        prop_assert!(
-            (a - b).abs() <= FAST_RTOL * scale,
-            "line item {} diverged: exact {a:e} vs fast {b:e}",
-            e.label
-        );
-    }
-    Ok(())
 }
 
 /// Deterministic per-meter, per-tick load (kept under the band ceiling
@@ -206,9 +177,6 @@ fn mw(meter: usize, tick: u64) -> Power {
 }
 
 /// A fleet of `n` meters round-robined over the two contract shapes.
-/// Kernels are pinned to `BitExact` explicitly — this file's fused-vs-scalar
-/// claims are bit-identity statements, which only `BitExact` makes; the
-/// `Fast` tolerance row has its own dedicated property below.
 fn fleet_of(n: usize, shards: usize) -> (MeterFleet, Vec<MeterId>) {
     let mut fleet = MeterFleet::with_shards(
         Calendar::default(),
@@ -216,10 +184,7 @@ fn fleet_of(n: usize, shards: usize) -> (MeterFleet, Vec<MeterId>) {
         SimTime::from_days(HORIZON_DAYS),
         shards,
     );
-    let shapes = [
-        compile(&rich_contract(), Precision::BitExact),
-        compile(&flat_contract(), Precision::BitExact),
-    ];
+    let shapes = [compile(&rich_contract()), compile(&flat_contract())];
     let step = Duration::from_minutes(15.0);
     let ids = (0..n)
         .map(|i| {
@@ -258,7 +223,7 @@ proptest! {
         chunks in chunks_strategy(),
         windows in prop::collection::vec((0u64..35 * 86_400, 1u64..12 * 3_600), 0..3),
     ) {
-        let kernel = compile(&rich_contract(), Precision::BitExact);
+        let kernel = compile(&rich_contract());
         let events = IntervalSet::from_intervals(
             windows
                 .iter()
@@ -307,7 +272,7 @@ proptest! {
         (start, step, kw) in stream_strategy(),
         chunks in chunks_strategy(),
     ) {
-        let kernel = compile(&max_peak_contract(), Precision::BitExact);
+        let kernel = compile(&max_peak_contract());
         let powers: Vec<Power> = kw.iter().copied().map(Power::from_kilowatts).collect();
         let mut fused = BillAccrual::new(Arc::clone(&kernel), start, step).unwrap();
         let mut seq = BillAccrual::new(Arc::clone(&kernel), start, step).unwrap();
@@ -371,7 +336,7 @@ proptest! {
         // Pin against solo accruals fed one push_next per sample.
         let shapes = [rich_contract(), flat_contract()];
         for (i, id) in ids.iter().enumerate() {
-            let kernel = compile(&shapes[i % shapes.len()], Precision::BitExact);
+            let kernel = compile(&shapes[i % shapes.len()]);
             let mut solo =
                 BillAccrual::new(kernel, SimTime::EPOCH, Duration::from_minutes(15.0)).unwrap();
             for tick in 0..ticks {
@@ -384,34 +349,6 @@ proptest! {
                 id
             );
         }
-    }
-
-    /// Fast mode: fused runs under a `Precision::Fast` kernel stay within
-    /// the documented 1e-12 of the bit-exact batch bill.
-    #[test]
-    fn fast_mode_fused_runs_stay_within_tolerance(
-        (start, step, kw) in import_stream_strategy(),
-        chunks in chunks_strategy(),
-    ) {
-        let fast_kernel = compile(&rich_contract(), Precision::Fast);
-        let exact_kernel = compile(&rich_contract(), Precision::BitExact);
-        let powers: Vec<Power> = kw.iter().copied().map(Power::from_kilowatts).collect();
-        let mut fused = BillAccrual::new(Arc::clone(&fast_kernel), start, step).unwrap();
-        let mut i = 0usize;
-        for &c in &chunks {
-            if i == powers.len() {
-                break;
-            }
-            let c = c.min(powers.len() - i);
-            fused.push_run(&powers[i..i + c]).unwrap();
-            i += c;
-        }
-        fused.push_run(&powers[i..]).unwrap();
-        let load: PowerSeries = Series::new(start, step, powers).unwrap();
-        assert_bills_close(
-            &exact_kernel.bill(&load).unwrap(),
-            &fused.finalize().unwrap(),
-        )?;
     }
 }
 
@@ -588,7 +525,7 @@ fn malformed_frames_and_horizon_overruns_error_like_per_sample() {
 
     // push_run past the horizon: the fitting prefix applies, then the
     // exact error push_next would have returned for the first overrun.
-    let kernel = compile(&flat_contract(), Precision::BitExact);
+    let kernel = compile(&flat_contract());
     let step = Duration::from_hours(1.0);
     let start = SimTime::from_days(HORIZON_DAYS) - Duration::from_hours(3.0);
     let mut fused = BillAccrual::new(Arc::clone(&kernel), start, step).unwrap();
@@ -807,8 +744,8 @@ proptest! {
         steps in prop::collection::vec(step_strategy(), 1..24),
     ) {
         let kernels = [
-            compile(&rich_contract(), Precision::BitExact),
-            compile(&flat_contract(), Precision::BitExact),
+            compile(&rich_contract()),
+            compile(&flat_contract()),
         ];
         let mut fleet = MeterFleet::with_shards(
             Calendar::default(),
@@ -852,7 +789,7 @@ proptest! {
         let mut solos: Vec<Solo> = (0..meters)
             .map(|i| Solo {
                 acc: BillAccrual::new(
-                    compile(&shapes[i % shapes.len()], Precision::BitExact),
+                    compile(&shapes[i % shapes.len()]),
                     SimTime::EPOCH,
                     Duration::from_minutes(15.0),
                 )

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use hpcgrid_core::accrual::BillAccrual;
-use hpcgrid_core::billing::{Bill, Precision};
+use hpcgrid_core::billing::Bill;
 use hpcgrid_core::compiled::CompiledContract;
 use hpcgrid_core::contract::{Contract, ContractDelta};
 use hpcgrid_core::demand_charge::DemandCharge;
@@ -105,8 +105,7 @@ proptest! {
             prop_assert_eq!(&hydrated, expected);
 
             // Same compile path on both sides (ledger cache vs by-hand), so
-            // the bills must agree bit for bit at whatever precision both
-            // kernels bill.
+            // the bills must agree bit for bit.
             let (start, end) = ledger.horizon();
             let fresh = CompiledContract::compile(ledger.calendar(), expected, start, end).unwrap();
             let served = ledger.kernel_at(id, rev as u64).unwrap();
@@ -215,18 +214,16 @@ proptest! {
         let delta = ContractDelta::SetMonthlyFee(Money::from_dollars(750.0));
         ledger.append(id, delta, "fee-hike", cut).unwrap();
 
-        // Pin bit-exact on both sides: the streamed fold and the manual
-        // batch bills must agree exactly, not approximately.
+        // The streamed fold and the manual batch bills must agree exactly,
+        // not approximately.
         let (start, end) = ledger.horizon();
         let k0 = Arc::new(
             CompiledContract::compile(ledger.calendar(), &ledger.hydrate_at(id, 0).unwrap(), start, end)
-                .unwrap()
-                .with_precision(Precision::BitExact),
+                .unwrap(),
         );
         let k1 = Arc::new(
             CompiledContract::compile(ledger.calendar(), &ledger.hydrate_at(id, 1).unwrap(), start, end)
-                .unwrap()
-                .with_precision(Precision::BitExact),
+                .unwrap(),
         );
 
         let step = Duration::from_minutes(STEP_MIN);

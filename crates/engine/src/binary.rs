@@ -1,11 +1,11 @@
 //! Compact binary artifact codec for the result cache.
 //!
-//! JSON artifacts are self-describing and diff-able, but at population scale
-//! (10⁵–10⁷ scenarios) their serde cost — float formatting on the way out,
-//! text parsing on the way back — dominates a warm sweep, and their size
-//! dominates the artifact directory. This module defines the binary tier:
-//! the same serde [`Value`] tree every artifact already round-trips through,
-//! encoded as a tagged, length-prefixed byte stream with a fixed header:
+//! At population scale (10⁵–10⁷ scenarios) a text encoding's serde cost —
+//! float formatting on the way out, text parsing on the way back — would
+//! dominate a warm sweep, and its size the artifact directory. This module
+//! defines the cache's one artifact codec: the serde [`Value`] tree of an
+//! artifact, encoded as a tagged, length-prefixed byte stream with a fixed
+//! header:
 //!
 //! ```text
 //! offset  size  field
@@ -26,9 +26,9 @@
 //! rendering costs, and decode is a linear scan with no text parsing.
 //!
 //! Bit-identity: floats are encoded by bit pattern (`f64::to_bits`), so a
-//! binary round trip is bit-identical by construction — the property tests
-//! in `tests/properties.rs` pin that binary and JSON tiers decode to
-//! bit-identical results.
+//! round trip is bit-identical by construction — pinned by a property test
+//! in `tests/properties.rs` and by the committed artifact bytes in
+//! `tests/format_golden.rs`.
 
 use serde::Value;
 

@@ -15,24 +15,22 @@
 //!   only touched to *fetch* artifacts the index says exist.
 //!   [`ResultCache::probe_stats`] exposes index-answered probes vs disk
 //!   reads; the sweep runner copies the deltas into its `RunReport`.
-//! * **Flat-directory scaling.** Artifacts live in `xx/yy/<hash>.<ext>`
+//! * **Flat-directory scaling.** Artifacts live in `xx/yy/<hash>.bin`
 //!   fan-out subdirectories (first four hex digits of the key), so no single
 //!   directory holds millions of entries.
-//! * **JSON serde per hit.** The default artifact format is the compact
-//!   checksummed binary codec in [`crate::binary`] (version byte +
-//!   content-hash header + CRC32). JSON remains available for debugging via
-//!   [`ArtifactFormat::Json`] and [`ResultCache::with_artifact_dir_and_format`];
-//!   both formats decode to bit-identical results and can coexist in one
-//!   directory.
+//! * **Text serde per hit.** Artifacts use the compact checksummed binary
+//!   codec in [`crate::binary`] (version byte + content-hash header +
+//!   CRC32), so a hit decodes without parsing text. The `artifact_dump` bin
+//!   of `hpcgrid-bench` prints one as JSON for inspection. Any other file in
+//!   the directory, such as a `.json` artifact an older version wrote, is
+//!   ignored: its key is a miss and the scenario is recomputed.
 //!
-//! Every artifact embeds its own `spec_hash`, so the cache can verify an
-//! artifact actually belongs to its key. JSON artifacts additionally embed
-//! the full spec (a human can read what produced a result without the sweep
-//! driver); binary artifacts store only hash + result, since the content
-//! hash already commits to the spec and the driver probing the cache holds
-//! it anyway. The artifact directory itself is created lazily on the first
-//! put, so a sweep that turns out to be 100% memory-served never touches the
-//! filesystem.
+//! Every artifact stores its own `spec_hash` and the result, and nothing
+//! else: the content hash already commits to the spec, and the driver
+//! probing the cache holds it anyway. The embedded hash lets the cache
+//! verify that an artifact belongs to its key. The artifact directory
+//! itself is created lazily on the first put, so a sweep that turns out to
+//! be 100% memory-served never touches the filesystem.
 
 use crate::binary;
 use crate::chaos::{self, sites, FailpointSet, FaultAction};
@@ -49,48 +47,23 @@ use std::sync::Arc;
 pub enum CacheTier {
     /// In-process map.
     Memory,
-    /// Artifact directory (binary or JSON).
+    /// Artifact directory.
     Artifact,
 }
 
-/// On-disk artifact encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArtifactFormat {
-    /// Length-prefixed, checksummed binary (see [`crate::binary`]) under
-    /// sharded `xx/yy/<hash>.bin` paths. The default.
-    #[default]
-    Binary,
-    /// Pretty-printed JSON under sharded `xx/yy/<hash>.json` paths. Larger
-    /// and slower, but human-readable — keep it for debugging.
-    Json,
-}
-
-impl ArtifactFormat {
-    /// Stable label (`"binary"` / `"json"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ArtifactFormat::Binary => "binary",
-            ArtifactFormat::Json => "json",
-        }
-    }
-
-    fn extension(self) -> &'static str {
-        match self {
-            ArtifactFormat::Binary => "bin",
-            ArtifactFormat::Json => "json",
-        }
-    }
-}
-
-/// Where (and how) one key's artifact is stored — the index's value type.
-/// One byte per entry instead of a `PathBuf`: the path is derived from the
-/// key and the location kind, which keeps a 10⁷-entry index small.
+/// On-disk artifact encoding: always the checksummed binary codec of
+/// [`crate::binary`].
+///
+/// It stays only because the `benchmark/` package names
+/// `ArtifactFormat::Binary` in its call to
+/// [`SweepRunner::with_artifact_dir_and_format`](crate::SweepRunner::with_artifact_dir_and_format);
+/// no workspace code uses it. The next change to the benchmark can delete
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ArtifactLoc {
-    /// Sharded `xx/yy/<hash>.bin`.
+pub enum ArtifactFormat {
+    /// Length-prefixed, checksummed binary under sharded `xx/yy/<hash>.bin`
+    /// paths.
     Binary,
-    /// Sharded `xx/yy/<hash>.json`.
-    Json,
 }
 
 /// Index-probe and disk-read counters (see [`ResultCache::probe_stats`]).
@@ -125,11 +98,10 @@ pub struct ProbeStats {
 pub struct ResultCache<R> {
     mem: HashMap<ContentHash, R>,
     dir: Option<PathBuf>,
-    format: ArtifactFormat,
-    /// Every key with an artifact on disk, by storage location. Built by one
-    /// walk at open; updated on put. Hit/miss checks consult this map, never
-    /// the filesystem.
-    index: HashMap<ContentHash, ArtifactLoc>,
+    /// Every key with an artifact on disk. Built by one walk at open;
+    /// updated on put. Hit/miss checks consult this set, never the
+    /// filesystem.
+    index: HashSet<ContentHash>,
     /// Shard subdirectories (`xx * 256 + yy`) known to exist, so repeat puts
     /// into a warm shard skip the `create_dir_all` syscalls.
     shards_ready: HashSet<u16>,
@@ -145,8 +117,7 @@ impl<R> Default for ResultCache<R> {
         ResultCache {
             mem: HashMap::new(),
             dir: None,
-            format: ArtifactFormat::default(),
-            index: HashMap::new(),
+            index: HashSet::new(),
             shards_ready: HashSet::new(),
             probes: ProbeStats::default(),
             reclaimed_tmp: 0,
@@ -161,33 +132,21 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         Self::default()
     }
 
-    /// Cache backed by an artifact directory, writing
-    /// [`ArtifactFormat::Binary`].
+    /// Cache backed by an artifact directory.
     ///
     /// The directory is *not* created here — creation is deferred to the
     /// first [`ResultCache::put`], so a fully memory-served sweep leaves no
     /// trace on disk and a read-only directory still serves reads. If the
-    /// directory exists, one walk indexes every artifact in it (sharded
-    /// binary and JSON).
+    /// directory exists, one walk indexes every sharded `.bin` artifact in
+    /// it, and garbage-collects stale `*.tmp.<pid>` files left by the
+    /// write-then-rename path of processes that died mid-put (see
+    /// [`ResultCache::reclaimed_tmp`]).
     pub fn with_artifact_dir(dir: impl Into<PathBuf>) -> Result<Self, EngineError> {
-        Self::with_artifact_dir_and_format(dir, ArtifactFormat::Binary)
-    }
-
-    /// [`ResultCache::with_artifact_dir`] with an explicit write format.
-    ///
-    /// The opening walk also garbage-collects stale `*.tmp.<pid>` files
-    /// left by the write-then-rename path of processes that died mid-put
-    /// (see [`ResultCache::reclaimed_tmp`]).
-    pub fn with_artifact_dir_and_format(
-        dir: impl Into<PathBuf>,
-        format: ArtifactFormat,
-    ) -> Result<Self, EngineError> {
         let dir = dir.into();
         let (index, reclaimed_tmp) = build_index(&dir)?;
         Ok(ResultCache {
             mem: HashMap::new(),
             dir: Some(dir),
-            format,
             index,
             shards_ready: HashSet::new(),
             probes: ProbeStats::default(),
@@ -216,11 +175,6 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         self.dir.as_deref()
     }
 
-    /// The write-side artifact format.
-    pub fn artifact_format(&self) -> ArtifactFormat {
-        self.format
-    }
-
     /// Number of results in the memory tier.
     pub fn len_memory(&self) -> usize {
         self.mem.len()
@@ -246,19 +200,18 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
             return false;
         }
         self.probes.index_probes += 1;
-        self.index.contains_key(&key)
+        self.index.contains(&key)
     }
 
-    /// The pre-index probe: check artifact presence by `stat`ing every path
-    /// the key could live at (binary, then JSON). This is what a
-    /// per-scenario hit check cost before the index existed; it is kept so
-    /// the `exp_sweep_throughput` baseline can measure the index's speedup
-    /// against it. Not used on any hot path.
+    /// The pre-index probe: check artifact presence by `stat`ing the path
+    /// the key lives at. This is what a per-scenario hit check cost before
+    /// the index existed; it is kept so the `exp_sweep_throughput` baseline
+    /// can measure the index's speedup against it. Not used on any hot path.
     pub fn probe_disk_stat(&self, key: ContentHash) -> bool {
         let Some(dir) = &self.dir else {
             return false;
         };
-        sharded_path(dir, key, "bin").exists() || sharded_path(dir, key, "json").exists()
+        artifact_path(dir, key).exists()
     }
 
     /// Look up a result, promoting artifact hits into memory.
@@ -274,10 +227,10 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
             return Ok(None);
         };
         self.probes.index_probes += 1;
-        let Some(&loc) = self.index.get(&key) else {
+        if !self.index.contains(&key) {
             return Ok(None);
-        };
-        let path = loc_path(dir, key, loc);
+        }
+        let path = artifact_path(dir, key);
         if let Some(action) = self.chaos.fire(sites::ARTIFACT_READ) {
             if let Some(err) = chaos::io_fault(sites::ARTIFACT_READ, action) {
                 return Err(EngineError::Io(err));
@@ -294,7 +247,9 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
             }
             Err(e) => return Err(EngineError::Io(e)),
         };
-        let artifact = decode_artifact_value(&bytes, key, loc, &path)?;
+        let artifact = binary::decode_artifact(&bytes, key.0).map_err(|e| {
+            EngineError::Serialize(format!("decoding binary artifact {}: {e}", path.display()))
+        })?;
         let stored_key = artifact
             .get("spec_hash")
             .and_then(Value::as_str)
@@ -340,33 +295,13 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         let Some(dir) = self.dir.clone() else {
             return Ok(());
         };
-        // Binary artifacts are the compact tier: spec_hash + result only —
-        // the content hash already commits to the full spec, and the sweep
-        // driver that probes the cache holds the spec anyway. JSON artifacts
-        // keep the full spec embedded so a human can read what produced a
-        // result without the driver.
-        let artifact = match self.format {
-            ArtifactFormat::Binary => Value::Map(vec![
-                ("spec_hash".to_string(), Value::Str(key.to_hex())),
-                ("result".to_string(), result.to_value()),
-            ]),
-            ArtifactFormat::Json => Value::Map(vec![
-                ("spec_hash".to_string(), Value::Str(key.to_hex())),
-                ("spec".to_string(), spec.to_value()),
-                ("result".to_string(), result.to_value()),
-            ]),
-        };
+        let artifact = Value::Map(vec![
+            ("spec_hash".to_string(), Value::Str(key.to_hex())),
+            ("result".to_string(), result.to_value()),
+        ]);
         self.ensure_shard(&dir, key)?;
-        let final_path = sharded_path(&dir, key, self.format.extension());
-        let mut bytes = match self.format {
-            ArtifactFormat::Binary => binary::encode_artifact(key.0, &artifact),
-            ArtifactFormat::Json => {
-                let mut text = serde_json::to_string_pretty(&artifact)
-                    .map_err(|e| EngineError::Serialize(e.to_string()))?;
-                text.push('\n');
-                text.into_bytes()
-            }
-        };
+        let final_path = artifact_path(&dir, key);
+        let mut bytes = binary::encode_artifact(key.0, &artifact);
         if !self.chaos.is_empty() {
             if let Some(action) = self.chaos.fire(sites::ARTIFACT_WRITE) {
                 if let Some(err) = chaos::io_fault(sites::ARTIFACT_WRITE, action) {
@@ -387,13 +322,7 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         let tmp_path = final_path.with_extension(format!("tmp.{}", std::process::id()));
         std::fs::write(&tmp_path, bytes)?;
         std::fs::rename(&tmp_path, &final_path)?;
-        self.index.insert(
-            key,
-            match self.format {
-                ArtifactFormat::Binary => ArtifactLoc::Binary,
-                ArtifactFormat::Json => ArtifactLoc::Json,
-            },
-        );
+        self.index.insert(key);
         Ok(())
     }
 
@@ -403,16 +332,10 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
         self.mem.clear();
     }
 
-    /// The artifact file path a key maps to, if a directory is configured:
-    /// the indexed location when the key has an artifact, otherwise where
-    /// the current write format would put one. Callers use this to report
-    /// which artifact a failed read came from.
+    /// The artifact file path a key maps to, if a directory is configured.
+    /// Callers use this to report which artifact a failed read came from.
     pub fn artifact_path_for(&self, key: ContentHash) -> Option<PathBuf> {
-        let dir = self.dir.as_deref()?;
-        Some(match self.index.get(&key) {
-            Some(&loc) => loc_path(dir, key, loc),
-            None => sharded_path(dir, key, self.format.extension()),
-        })
+        Some(artifact_path(self.dir.as_deref()?, key))
     }
 
     /// Create the artifact directory and the key's `xx/yy` shard on first
@@ -439,45 +362,17 @@ fn shard_dir(dir: &Path, key: ContentHash) -> PathBuf {
         .join(format!("{:02x}", shard & 0xff))
 }
 
-fn sharded_path(dir: &Path, key: ContentHash, ext: &str) -> PathBuf {
-    shard_dir(dir, key).join(format!("{}.{ext}", key.to_hex()))
+fn artifact_path(dir: &Path, key: ContentHash) -> PathBuf {
+    shard_dir(dir, key).join(format!("{}.bin", key.to_hex()))
 }
 
-fn loc_path(dir: &Path, key: ContentHash, loc: ArtifactLoc) -> PathBuf {
-    match loc {
-        ArtifactLoc::Binary => sharded_path(dir, key, "bin"),
-        ArtifactLoc::Json => sharded_path(dir, key, "json"),
-    }
-}
-
-/// Decode an artifact file into its `Value` tree, per storage location.
-fn decode_artifact_value(
-    bytes: &[u8],
-    key: ContentHash,
-    loc: ArtifactLoc,
-    path: &Path,
-) -> Result<Value, EngineError> {
-    match loc {
-        ArtifactLoc::Binary => binary::decode_artifact(bytes, key.0).map_err(|e| {
-            EngineError::Serialize(format!("decoding binary artifact {}: {e}", path.display()))
-        }),
-        ArtifactLoc::Json => {
-            let text = std::str::from_utf8(bytes).map_err(|e| {
-                EngineError::Serialize(format!("artifact {} is not UTF-8: {e}", path.display()))
-            })?;
-            serde_json::from_str(text)
-                .map_err(|e| EngineError::Serialize(format!("parsing {}: {e}", path.display())))
-        }
-    }
-}
-
-/// Walk an artifact directory once, indexing every sharded binary/JSON
-/// artifact and reclaiming stale
-/// `*.tmp.<pid>` files of dead processes along the way. A missing directory
-/// is an empty index (creation is deferred to the first put). Returns the
-/// index and the number of temp files reclaimed.
-fn build_index(dir: &Path) -> Result<(HashMap<ContentHash, ArtifactLoc>, usize), EngineError> {
-    let mut index = HashMap::new();
+/// Walk an artifact directory once, indexing every sharded `.bin` artifact
+/// and reclaiming stale `*.tmp.<pid>` files of dead processes along the
+/// way. Other files are left alone and unindexed. A missing directory is an
+/// empty index (creation is deferred to the first put). Returns the index
+/// and the number of temp files reclaimed.
+fn build_index(dir: &Path) -> Result<(HashSet<ContentHash>, usize), EngineError> {
+    let mut index = HashSet::new();
     let mut reclaimed = 0usize;
     let top = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -503,12 +398,8 @@ fn build_index(dir: &Path) -> Result<(HashMap<ContentHash, ArtifactLoc>, usize),
                     let file = file?;
                     let fname = file.file_name();
                     let fname = fname.to_string_lossy();
-                    if let Some(key) = parse_artifact_name(&fname, "bin") {
-                        // Binary wins over a JSON sibling: it is the default
-                        // write format, so it is the fresher of the two.
-                        index.insert(key, ArtifactLoc::Binary);
-                    } else if let Some(key) = parse_artifact_name(&fname, "json") {
-                        index.entry(key).or_insert(ArtifactLoc::Json);
+                    if let Some(key) = parse_artifact_name(&fname) {
+                        index.insert(key);
                     } else if reclaim_stale_tmp(&fname, &file.path()) {
                         reclaimed += 1;
                     }
@@ -551,8 +442,8 @@ fn is_hex_pair(s: &str) -> bool {
     s.len() == 2 && s.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
-fn parse_artifact_name(name: &str, ext: &str) -> Option<ContentHash> {
-    let stem = name.strip_suffix(&format!(".{ext}"))?;
+fn parse_artifact_name(name: &str) -> Option<ContentHash> {
+    let stem = name.strip_suffix(".bin")?;
     if stem.len() != 32 {
         return None;
     }
@@ -590,35 +481,30 @@ mod tests {
 
     #[test]
     fn artifact_round_trip_across_processes() {
-        for format in [ArtifactFormat::Binary, ArtifactFormat::Json] {
-            let dir = temp_dir(&format!("roundtrip-{}", format.label()));
-            let s = spec(2);
-            {
-                let mut c: ResultCache<Vec<f64>> =
-                    ResultCache::with_artifact_dir_and_format(&dir, format).unwrap();
-                c.put(&s, &vec![1.0, 2.25, -3.5]).unwrap();
-            }
-            // Fresh cache: memory tier empty, must hit the artifact through
-            // the index built by the opening walk.
-            let mut c2: ResultCache<Vec<f64>> =
-                ResultCache::with_artifact_dir_and_format(&dir, format).unwrap();
-            assert_eq!(c2.len_index(), 1);
-            let (v, tier) = c2.get(s.content_hash()).unwrap().unwrap();
-            assert_eq!(v, vec![1.0, 2.25, -3.5]);
-            assert_eq!(tier, CacheTier::Artifact);
-            // Promoted to memory on the way through.
-            let (_, tier2) = c2.get(s.content_hash()).unwrap().unwrap();
-            assert_eq!(tier2, CacheTier::Memory);
-            std::fs::remove_dir_all(&dir).unwrap();
+        let dir = temp_dir("roundtrip");
+        let s = spec(2);
+        {
+            let mut c: ResultCache<Vec<f64>> = ResultCache::with_artifact_dir(&dir).unwrap();
+            c.put(&s, &vec![1.0, 2.25, -3.5]).unwrap();
         }
+        // Fresh cache: memory tier empty, must hit the artifact through the
+        // index built by the opening walk.
+        let mut c2: ResultCache<Vec<f64>> = ResultCache::with_artifact_dir(&dir).unwrap();
+        assert_eq!(c2.len_index(), 1);
+        let (v, tier) = c2.get(s.content_hash()).unwrap().unwrap();
+        assert_eq!(v, vec![1.0, 2.25, -3.5]);
+        assert_eq!(tier, CacheTier::Artifact);
+        // Promoted to memory on the way through.
+        let (_, tier2) = c2.get(s.content_hash()).unwrap().unwrap();
+        assert_eq!(tier2, CacheTier::Memory);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn artifacts_are_sharded_by_key_prefix() {
         let dir = temp_dir("sharded");
         let s = spec(3);
-        let mut c: ResultCache<f64> =
-            ResultCache::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+        let mut c: ResultCache<f64> = ResultCache::with_artifact_dir(&dir).unwrap();
         c.put(&s, &1.0).unwrap();
         let hex = s.content_hash().to_hex();
         let expected = dir
@@ -663,13 +549,11 @@ mod tests {
     fn corrupt_artifact_is_an_error_not_a_panic() {
         let dir = temp_dir("corrupt");
         let s = spec(3);
-        let mut c: ResultCache<f64> =
-            ResultCache::with_artifact_dir_and_format(&dir, ArtifactFormat::Json).unwrap();
+        let mut c: ResultCache<f64> = ResultCache::with_artifact_dir(&dir).unwrap();
         c.put(&s, &1.0).unwrap();
-        std::fs::write(c.artifact_path_for(s.content_hash()).unwrap(), "{ not json").unwrap();
+        std::fs::write(c.artifact_path_for(s.content_hash()).unwrap(), "garbage").unwrap();
         // Re-open so the memory tier is empty and the read really happens.
-        let mut fresh: ResultCache<f64> =
-            ResultCache::with_artifact_dir_and_format(&dir, ArtifactFormat::Json).unwrap();
+        let mut fresh: ResultCache<f64> = ResultCache::with_artifact_dir(&dir).unwrap();
         assert!(fresh.get(s.content_hash()).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -679,15 +563,13 @@ mod tests {
         let dir = temp_dir("truncated-bin");
         let s = spec(6);
         {
-            let mut c: ResultCache<Vec<f64>> =
-                ResultCache::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+            let mut c: ResultCache<Vec<f64>> = ResultCache::with_artifact_dir(&dir).unwrap();
             c.put(&s, &vec![1.0, 2.0, 3.0]).unwrap();
         }
-        let path = sharded_path(&dir, s.content_hash(), "bin");
+        let path = artifact_path(&dir, s.content_hash());
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let mut c: ResultCache<Vec<f64>> =
-            ResultCache::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+        let mut c: ResultCache<Vec<f64>> = ResultCache::with_artifact_dir(&dir).unwrap();
         let err = c.get(s.content_hash()).unwrap_err();
         assert!(
             err.to_string().contains("truncated") || err.to_string().contains("CRC"),
@@ -728,7 +610,7 @@ mod tests {
         let s = spec(30);
         let mut c: ResultCache<f64> = ResultCache::with_artifact_dir(&dir).unwrap();
         c.put(&s, &1.0).unwrap();
-        let shard = sharded_path(&dir, s.content_hash(), "bin")
+        let shard = artifact_path(&dir, s.content_hash())
             .parent()
             .unwrap()
             .to_path_buf();
@@ -761,13 +643,5 @@ mod tests {
         assert_eq!(parse_tmp_name(&format!("{hex}.tmp.notapid")), None);
         assert_eq!(parse_tmp_name("short.tmp.123"), None);
         assert_eq!(parse_tmp_name(&format!("{hex}.tmp")), None);
-    }
-
-    #[test]
-    fn artifact_format_default_labels_and_extension() {
-        assert_eq!(ArtifactFormat::default(), ArtifactFormat::Binary);
-        assert_eq!(ArtifactFormat::Binary.label(), "binary");
-        assert_eq!(ArtifactFormat::Json.label(), "json");
-        assert_eq!(ArtifactFormat::Binary.extension(), "bin");
     }
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
 pub enum Disposition {
     /// Served from the in-memory cache.
     MemoryHit,
-    /// Served from an artifact on disk (binary or JSON).
+    /// Served from an artifact on disk.
     ArtifactHit,
     /// Computed by executing the scenario closure.
     Executed,
@@ -48,8 +48,8 @@ pub struct RunReport {
     pub failed: usize,
     /// Total retry attempts beyond each scenario's first try.
     pub retries: u32,
-    /// Artifact-tier cache reads that failed to decode (corrupt or
-    /// incompatible binary/JSON). Each such scenario was recomputed; a
+    /// Artifact-tier cache reads that failed to decode (corrupt, truncated
+    /// or of a foreign version). Each such scenario was recomputed; a
     /// nonzero count means the artifact directory needs attention.
     pub cache_corrupt: usize,
     /// Artifact-tier hit/miss probes answered by the in-memory index

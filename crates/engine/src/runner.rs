@@ -199,19 +199,18 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         Self::with_cache(ResultCache::in_memory())
     }
 
-    /// Runner whose cache persists [`ArtifactFormat::Binary`] artifacts
-    /// under `dir`.
+    /// Runner whose cache persists binary artifacts under `dir`.
     pub fn with_artifact_dir(dir: impl Into<std::path::PathBuf>) -> Result<Self, EngineError> {
         ResultCache::with_artifact_dir(dir).map(Self::with_cache)
     }
 
-    /// Runner whose cache persists artifacts under `dir` in an explicit
-    /// format.
+    /// [`SweepRunner::with_artifact_dir`]. Kept only because the
+    /// `benchmark/` package calls it; see [`ArtifactFormat`].
     pub fn with_artifact_dir_and_format(
         dir: impl Into<std::path::PathBuf>,
-        format: ArtifactFormat,
+        _format: ArtifactFormat,
     ) -> Result<Self, EngineError> {
-        ResultCache::with_artifact_dir_and_format(dir, format).map(Self::with_cache)
+        Self::with_artifact_dir(dir)
     }
 
     fn with_cache(cache: ResultCache<R>) -> Self {

@@ -318,7 +318,8 @@ impl ScenarioSpec {
     pub const DELTA_PARAM: &'static str = "delta";
 
     /// Reserved param key naming the billing precision a scenario evaluates
-    /// at (`"bit_exact"` or `"fast"`).
+    /// at. Billing has one mode, and the experiment binaries record its
+    /// label, `"bit_exact"`, so that existing spec hashes stay valid.
     pub const PRECISION_PARAM: &'static str = "precision";
 
     /// Reserved param key recording the contract-ledger revision an as-of
@@ -403,11 +404,9 @@ impl ScenarioSpecBuilder {
     }
 
     /// Record the billing precision a scenario evaluates at, as the
-    /// reserved [`ScenarioSpec::PRECISION_PARAM`] param. Use the stable
-    /// label from `Precision::label()` in `hpcgrid-core` (`"bit_exact"` or
-    /// `"fast"`): bit-exact and fast runs of the same sweep then cache
-    /// under different content hashes, so a tolerance-mode re-run never
-    /// serves results computed at the other precision.
+    /// reserved [`ScenarioSpec::PRECISION_PARAM`] param. The label is part
+    /// of the content hash, so runs under different labels never serve
+    /// each other's results.
     pub fn precision(self, label: impl Into<String>) -> Self {
         self.param(ScenarioSpec::PRECISION_PARAM, label.into())
     }

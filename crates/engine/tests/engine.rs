@@ -2,7 +2,7 @@
 //! sweep runner guarantees, exercised end to end.
 
 use hpcgrid_engine::{
-    ArtifactFormat, Disposition, ResultCache, RunReport, ScenarioError, ScenarioSpec, SweepRunner,
+    Disposition, ResultCache, RunReport, ScenarioError, ScenarioSpec, SweepRunner,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -214,50 +214,87 @@ fn per_scenario_records_classify_dispositions() {
 }
 
 /// A standalone cache shared by two runners deduplicates work across sweeps
-/// in the same process via the artifact tier, in either artifact format.
+/// in the same process via the artifact tier.
 #[test]
 fn artifact_dir_is_shared_across_runners() {
-    for (format, ext) in [
-        (ArtifactFormat::Binary, "bin"),
-        (ArtifactFormat::Json, "json"),
-    ] {
-        let dir =
-            std::env::temp_dir().join(format!("hpcgrid-engine-share-{}-{ext}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let specs = sweep_specs(10);
-        {
-            let mut first: SweepRunner<f64> =
-                SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-            first.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")?));
-        }
-        let mut second: SweepRunner<f64> =
-            SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-        let outcome = second.run(&specs, |_| -> Result<f64, String> {
-            panic!("artifacts must satisfy the sweep")
-        });
-        assert_eq!(outcome.report.artifact_hits, 10);
-        assert_eq!(outcome.report.executed, 0);
-        // Every probe the second runner made was answered by the index; the
-        // only disk traffic was fetching the ten artifacts themselves.
-        assert_eq!(outcome.report.index_probes, 10);
-        assert_eq!(outcome.report.disk_reads, 10);
-        // Artifacts are self-describing files named by content hash, fanned
-        // out into xx/yy shard subdirectories keyed by the hash's leading
-        // hex digits, with the format's extension.
-        let mut files: Vec<String> = Vec::new();
-        collect_artifact_files(&dir, &mut files);
-        files.sort();
-        let mut expected: Vec<String> = specs
-            .iter()
-            .map(|s| {
-                let hex = s.content_hash().to_hex();
-                format!("{}/{}/{hex}.{ext}", &hex[0..2], &hex[2..4])
-            })
-            .collect();
-        expected.sort();
-        assert_eq!(files, expected);
-        std::fs::remove_dir_all(&dir).unwrap();
+    let dir = std::env::temp_dir().join(format!("hpcgrid-engine-share-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let specs = sweep_specs(10);
+    {
+        let mut first: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+        first.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")?));
     }
+    let mut second: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    let outcome = second.run(&specs, |_| -> Result<f64, String> {
+        panic!("artifacts must satisfy the sweep")
+    });
+    assert_eq!(outcome.report.artifact_hits, 10);
+    assert_eq!(outcome.report.executed, 0);
+    // Every probe the second runner made was answered by the index; the
+    // only disk traffic was fetching the ten artifacts themselves.
+    assert_eq!(outcome.report.index_probes, 10);
+    assert_eq!(outcome.report.disk_reads, 10);
+    // Artifacts are self-describing files named by content hash, fanned
+    // out into xx/yy shard subdirectories keyed by the hash's leading hex
+    // digits.
+    let mut files: Vec<String> = Vec::new();
+    collect_artifact_files(&dir, &mut files);
+    files.sort();
+    let mut expected: Vec<String> = specs
+        .iter()
+        .map(|s| {
+            let hex = s.content_hash().to_hex();
+            format!("{}/{}/{hex}.bin", &hex[0..2], &hex[2..4])
+        })
+        .collect();
+    expected.sort();
+    assert_eq!(files, expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `.json` artifact an older version wrote is not read: its key is a
+/// miss, the scenario executes again and its result is written as a `.bin`
+/// artifact beside the JSON file, which the cache leaves alone.
+#[test]
+fn json_artifact_of_an_older_version_is_a_miss_and_recomputes_into_bin() {
+    let dir = std::env::temp_dir().join(format!("hpcgrid-engine-oldjson-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let specs = sweep_specs(1);
+    let hex = specs[0].content_hash().to_hex();
+    let shard = dir.join(&hex[0..2]).join(&hex[2..4]);
+    std::fs::create_dir_all(&shard).unwrap();
+    // The layout the JSON tier wrote: the spec embedded, pretty-printed.
+    let legacy = shard.join(format!("{hex}.json"));
+    let text = serde_json::to_string_pretty(&serde_json::json!({
+        "spec_hash": hex.clone(),
+        "spec": specs[0].clone(),
+        "result": 1.0f64,
+    }))
+    .unwrap();
+    std::fs::write(&legacy, text + "\n").unwrap();
+
+    let mut runner: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    assert_eq!(
+        runner.cache_mut().len_index(),
+        0,
+        "JSON files are not indexed"
+    );
+    let outcome = runner.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")? * 5.0));
+    assert_eq!(outcome.report.executed, 1);
+    assert_eq!(outcome.report.artifact_hits, 0);
+    assert_eq!(outcome.report.cache_corrupt, 0);
+    assert_eq!(outcome.expect_all("recompute"), vec![0.8 * 5.0]);
+    assert!(shard.join(format!("{hex}.bin")).exists());
+    assert!(legacy.exists(), "the JSON file is left alone");
+
+    // The recomputed result now serves a fresh runner from its `.bin`.
+    let mut fresh: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    let again = fresh.run(&specs, |_| -> Result<f64, String> {
+        panic!("the .bin artifact must serve the rerun")
+    });
+    assert_eq!(again.report.artifact_hits, 1);
+    assert_eq!(again.expect_all("served"), vec![0.8 * 5.0]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Recursively collect artifact paths relative to `root`, `/`-separated.
@@ -298,33 +335,24 @@ fn runner_artifacts_are_plain_cache_artifacts() {
 }
 
 /// A second identical sweep is served fully from artifacts — zero scenario
-/// executions — under both the binary and JSON artifact formats.
+/// executions.
 #[test]
-fn second_sweep_is_fully_cache_served_under_both_formats() {
-    use hpcgrid_engine::ArtifactFormat;
-    for format in [ArtifactFormat::Binary, ArtifactFormat::Json] {
-        let dir = std::env::temp_dir().join(format!(
-            "hpcgrid-engine-zero-exec-{}-{}",
-            format.label(),
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let specs = sweep_specs(50);
-        {
-            let mut warm: SweepRunner<f64> =
-                SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-            let outcome = warm.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")? * 3.0));
-            assert_eq!(outcome.report.executed, 50);
-        }
-        let mut cold: SweepRunner<f64> =
-            SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-        let outcome = cold.run(&specs, |_| -> Result<f64, String> {
-            panic!("second sweep must not execute anything")
-        });
-        assert_eq!(outcome.report.executed, 0, "{}", format.label());
-        assert_eq!(outcome.report.artifact_hits, 50, "{}", format.label());
-        std::fs::remove_dir_all(&dir).unwrap();
+fn second_sweep_is_fully_cache_served() {
+    let dir = std::env::temp_dir().join(format!("hpcgrid-engine-zero-exec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let specs = sweep_specs(50);
+    {
+        let mut warm: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+        let outcome = warm.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")? * 3.0));
+        assert_eq!(outcome.report.executed, 50);
     }
+    let mut cold: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    let outcome = cold.run(&specs, |_| -> Result<f64, String> {
+        panic!("second sweep must not execute anything")
+    });
+    assert_eq!(outcome.report.executed, 0);
+    assert_eq!(outcome.report.artifact_hits, 50);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// An artifact directory that cannot be written (here: the shard path is
@@ -362,18 +390,17 @@ fn unwritable_artifact_dir_still_serves_the_memory_tier() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A binary artifact truncated mid-file is treated exactly like corrupt
-/// JSON: counted in `cache_corrupt`, recomputed, and healed by the rerun.
+/// A binary artifact truncated mid-file is treated like any corrupt
+/// artifact: counted in `cache_corrupt`, recomputed, and healed by the
+/// rerun.
 #[test]
 fn truncated_binary_artifact_recomputes_and_heals() {
-    use hpcgrid_engine::ArtifactFormat;
     let dir = std::env::temp_dir().join(format!("hpcgrid-engine-trunc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let specs = sweep_specs(1);
     let path;
     {
-        let mut warm: SweepRunner<Vec<f64>> =
-            SweepRunner::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+        let mut warm: SweepRunner<Vec<f64>> = SweepRunner::with_artifact_dir(&dir).unwrap();
         warm.run(&specs, |ctx| {
             Ok(vec![ctx.spec.param_f64("multiplier")?, 2.5, -3.75])
         });
@@ -385,61 +412,18 @@ fn truncated_binary_artifact_recomputes_and_heals() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
-    let mut runner: SweepRunner<Vec<f64>> =
-        SweepRunner::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+    let mut runner: SweepRunner<Vec<f64>> = SweepRunner::with_artifact_dir(&dir).unwrap();
     let outcome = runner.run(&specs, |ctx| {
         Ok(vec![ctx.spec.param_f64("multiplier")?, 2.5, -3.75])
     });
     assert_eq!(outcome.report.cache_corrupt, 1);
     assert_eq!(outcome.report.executed, 1);
     // The recomputation rewrote the artifact; a fresh runner reads it clean.
-    let mut fresh: SweepRunner<Vec<f64>> =
-        SweepRunner::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+    let mut fresh: SweepRunner<Vec<f64>> = SweepRunner::with_artifact_dir(&dir).unwrap();
     let again = fresh.run(&specs, |_| -> Result<Vec<f64>, String> {
         panic!("healed artifact must serve the rerun")
     });
     assert_eq!(again.report.artifact_hits, 1);
     assert_eq!(again.report.cache_corrupt, 0);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Binary and JSON artifacts written for the same results decode to
-/// bit-identical values.
-#[test]
-fn binary_and_json_artifacts_decode_bit_identical() {
-    use hpcgrid_engine::ArtifactFormat;
-    let base = std::env::temp_dir().join(format!("hpcgrid-engine-bits2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let specs = sweep_specs(16);
-    let simulate = |ctx: hpcgrid_engine::ScenarioCtx<'_>| -> Result<Vec<f64>, String> {
-        let i = ctx.spec.param_i64("index")? as f64;
-        Ok(vec![
-            i / 7.0,
-            (i + 0.1).sqrt(),
-            -i * 1e-17,
-            f64::from_bits(ctx.seed),
-        ])
-    };
-    let mut decoded: Vec<Vec<Vec<f64>>> = Vec::new();
-    for format in [ArtifactFormat::Binary, ArtifactFormat::Json] {
-        let dir = base.join(format.label());
-        {
-            let mut warm: SweepRunner<Vec<f64>> =
-                SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-            warm.run(&specs, simulate);
-        }
-        let mut cold: SweepRunner<Vec<f64>> =
-            SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-        let outcome = cold.run(&specs, |_| -> Result<Vec<f64>, String> {
-            panic!("must decode from artifacts")
-        });
-        assert_eq!(outcome.report.artifact_hits, 16);
-        decoded.push(outcome.expect_all("decode"));
-    }
-    for (b, j) in decoded[0].iter().zip(decoded[1].iter()) {
-        for (x, y) in b.iter().zip(j.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-        }
-    }
-    std::fs::remove_dir_all(&base).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Property tests for the engine's hashing and caching invariants.
 
-use hpcgrid_engine::{ArtifactFormat, ParamValue, ResultCache, ScenarioSpec, SweepRunner};
+use hpcgrid_engine::{ParamValue, ResultCache, ScenarioSpec, SweepRunner};
 use proptest::prelude::*;
 
 /// Build a spec from a parameter list, inserting params in the given order.
@@ -250,42 +250,31 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The binary artifact codec round-trips arbitrary value trees exactly,
-    /// and binary vs JSON artifacts for the same payload decode to
-    /// bit-identical results.
+    /// The binary artifact codec round-trips arbitrary results through the
+    /// cache bit for bit.
     #[test]
-    fn binary_and_json_artifacts_are_bit_identical(
+    fn binary_artifacts_round_trip_bit_exactly(
         seed in 0u64..100_000,
         raw in prop::collection::vec(-1.0e18f64..1.0e18, 1..8),
     ) {
-        use hpcgrid_engine::ArtifactFormat;
         // Stretch the drawn values into awkward full-mantissa bit patterns.
         let payload: Vec<f64> = raw.iter().map(|v| v / 3.0 + 1e-13 * v.abs().sqrt()).collect();
         let spec = spec_from(seed, 30, "typical", &[("x".to_string(), 1.0)]);
-        let mut decoded: Vec<Vec<f64>> = Vec::new();
-        for format in [ArtifactFormat::Binary, ArtifactFormat::Json] {
-            let dir = std::env::temp_dir().join(format!(
-                "hpcgrid-prop-fmt-{}-{}-{}",
-                format.label(),
-                std::process::id(),
-                seed
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut cache: ResultCache<Vec<f64>> =
-                ResultCache::with_artifact_dir_and_format(&dir, format).unwrap();
-            cache.put(&spec, &payload).unwrap();
-            cache.clear_memory();
-            let (got, _) = cache.get(spec.content_hash()).unwrap().unwrap();
-            prop_assert_eq!(got.len(), payload.len());
-            for (a, b) in payload.iter().zip(got.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            decoded.push(got);
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        for (a, b) in decoded[0].iter().zip(decoded[1].iter()) {
+        let dir = std::env::temp_dir().join(format!(
+            "hpcgrid-prop-fmt-{}-{}",
+            std::process::id(),
+            seed
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache: ResultCache<Vec<f64>> = ResultCache::with_artifact_dir(&dir).unwrap();
+        cache.put(&spec, &payload).unwrap();
+        cache.clear_memory();
+        let (got, _) = cache.get(spec.content_hash()).unwrap().unwrap();
+        prop_assert_eq!(got.len(), payload.len());
+        for (a, b) in payload.iter().zip(got.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -485,19 +474,14 @@ fn stall_clause(seed: u64) -> String {
     format!("engine.scenario.stall=stall:1ms@prob:0.03:{seed}")
 }
 
-/// A cache directory holding `format` artifacts for specs `0..10` of
-/// `distinct`, with the one for spec 4 overwritten by garbage.
-fn parity_cache_dir(
-    tag: &str,
-    distinct: &[ScenarioSpec],
-    format: ArtifactFormat,
-) -> std::path::PathBuf {
+/// A cache directory holding artifacts for specs `0..10` of `distinct`,
+/// with the one for spec 4 overwritten by garbage.
+fn parity_cache_dir(tag: &str, distinct: &[ScenarioSpec]) -> std::path::PathBuf {
     let dir =
         std::env::temp_dir().join(format!("hpcgrid-prop-parity-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let flaky = std::sync::atomic::AtomicUsize::new(0);
-    let mut warm: SweepRunner<(u64, u64)> =
-        SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
+    let mut warm: SweepRunner<(u64, u64)> = SweepRunner::with_artifact_dir(&dir).unwrap();
     warm.run(&distinct[..10], |ctx| parity_scenario(ctx, &flaky))
         .expect_all("warm-up");
     let corrupt = warm
@@ -515,8 +499,7 @@ proptest! {
     /// one driver: over a shuffled sweep holding duplicates, a planted
     /// corrupt artifact, an always-panicking scenario and a
     /// retried-then-recovered one, all three give the same value and the
-    /// same counters — under either artifact format, with or without
-    /// seeded scenario stalls.
+    /// same counters — with or without seeded scenario stalls.
     #[test]
     fn every_entry_point_agrees_on_value_and_counters(shuffle_seed in 0u64..u64::MAX) {
         use hpcgrid_engine::{FailpointSet, RetryPolicy, RunReport};
@@ -555,26 +538,18 @@ proptest! {
             )
         };
         let mut value = None;
-        for (format, stalls) in [
-            (ArtifactFormat::Binary, false),
-            (ArtifactFormat::Binary, true),
-            (ArtifactFormat::Json, false),
-            (ArtifactFormat::Json, true),
-        ] {
+        for stalls in [false, true] {
             let runner = |tag: &str| -> SweepRunner<(u64, u64)> {
-                let runner = SweepRunner::with_artifact_dir_and_format(
-                    parity_cache_dir(tag, &distinct, format),
-                    format,
-                )
-                .unwrap()
-                .retry(RetryPolicy::with_budget(1));
+                let runner = SweepRunner::with_artifact_dir(parity_cache_dir(tag, &distinct))
+                    .unwrap()
+                    .retry(RetryPolicy::with_budget(1));
                 if stalls {
                     runner.chaos(FailpointSet::parse(&stall_clause(shuffle_seed)).unwrap())
                 } else {
                     runner
                 }
             };
-            let case = format!("{shuffle_seed}-{}-{stalls}", format.label());
+            let case = format!("{shuffle_seed}-{stalls}");
             let tag = format!("{case}-run");
             let flaky = AtomicUsize::new(0);
             let run = runner(&tag).run(&specs, |ctx| parity_scenario(ctx, &flaky));
@@ -607,7 +582,7 @@ proptest! {
                 )
                 .unwrap();
 
-            // Neither the format nor the stalls move the value.
+            // The stalls do not move the value.
             prop_assert_eq!(*value.get_or_insert(run_value), run_value);
             prop_assert_eq!(folded.value, run_value);
             prop_assert_eq!(journaled.value, run_value);

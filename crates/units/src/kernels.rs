@@ -1,7 +1,7 @@
 //! Chunked multi-accumulator summation and extrema kernels.
 //!
-//! The billing engine's fast path and the time-series statistics share one
-//! set of `f64` reduction kernels:
+//! The time-series statistics and the billing fold's monthly demand peak
+//! share one set of `f64` reduction kernels:
 //!
 //! * [`sum_pairwise`] / [`sum_squared_deviations`] — pairwise (tree)
 //!   summation over 8 independent accumulator lanes. The lane loop is plain
@@ -16,11 +16,10 @@
 //!   value a sequential scan would.
 //!
 //! Summation results are **not** bit-identical to a sequential fold (f64
-//! addition is not associative); callers that promise bit-identity must keep
-//! using their original accumulation order. For finite inputs the pairwise
-//! result differs from the exact real sum by a relative error of roughly
-//! `log2(n) · ε · Σ|x| / |Σx|` — below 1e-12 for a year of 15-minute,
-//! same-sign samples.
+//! addition is not associative), so billing, which promises bit-identity
+//! with the interpreter, sums in its original order and uses only the
+//! extrema. For finite inputs the pairwise result differs from the exact
+//! real sum by a relative error of roughly `log2(n) · ε · Σ|x| / |Σx|`.
 
 /// Accumulator lanes per chunk: 8 × f64 fills two AVX2 registers (or four
 /// NEON registers) and hides FP-add latency on scalar targets.

@@ -62,7 +62,7 @@ pub use hpcgrid_workload as workload;
 /// Commonly used items across the workspace, for glob import.
 pub mod prelude {
     pub use hpcgrid_core::accrual::{AccrualSnapshot, BillAccrual};
-    pub use hpcgrid_core::billing::{Bill, BillingEngine, Precision};
+    pub use hpcgrid_core::billing::{Bill, BillingEngine};
     pub use hpcgrid_core::checkpoint::{CheckpointStore, FleetCheckpoint};
     pub use hpcgrid_core::compiled::CompiledContract;
     pub use hpcgrid_core::contract::{Contract, ContractBuilder, ContractDelta};
